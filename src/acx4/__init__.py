@@ -45,8 +45,10 @@ from .multifan import (
     MultiFanFamily,
     blow_down_fan,
     blow_down_in_family,
+    blow_down_inplace,
     blow_up_fan,
     blow_up_in_family,
+    blow_up_inplace,
     canonical_form,
     family_union,
     fans_equivalent,

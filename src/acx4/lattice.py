@@ -47,9 +47,7 @@ def reduction_choice(v1: Vec, v2: Vec) -> int:
     """Sign s in {-1, +1} such that v2 + s*v1 is strictly shorter than v2.
 
     Requires (v1, v2) to be a lattice basis with norm_sq(v1) < norm_sq(v2);
-    at least one sign then always works.  Were both ever to work, the one
-    giving the smaller result would win, with -1 on an exact tie, so the
-    returned sign is deterministic.
+    exactly one sign then works, so the returned sign is determined.
     """
     if not is_basis(v1, v2):
         raise PreconditionViolated(f"reduction_choice: {v1}, {v2} is not a basis")
@@ -57,16 +55,13 @@ def reduction_choice(v1: Vec, v2: Vec) -> int:
     if norm_sq(v1) >= target:
         raise PreconditionViolated(
             f"reduction_choice: need norm_sq({v1}) < norm_sq({v2})")
-    n_minus = norm_sq(sub(v2, v1))
-    n_plus = norm_sq(add(v2, v1))
-    ok_minus = n_minus < target
-    ok_plus = n_plus < target
-    if not ok_minus and not ok_plus:
-        raise InternalInconsistency(
-            f"neither v2-v1 nor v2+v1 is shorter than v2 for v1={v1}, v2={v2}")
-    if ok_minus and ok_plus:
-        return -1 if n_minus <= n_plus else 1
-    return -1 if ok_minus else 1
+    # both signs cannot work: |v1|^2 < 2*v1.v2 and |v1|^2 < -2*v1.v2 conflict
+    if norm_sq(sub(v2, v1)) < target:
+        return -1
+    if norm_sq(add(v2, v1)) < target:
+        return 1
+    raise InternalInconsistency(
+        f"neither v2-v1 nor v2+v1 is shorter than v2 for v1={v1}, v2={v2}")
 
 
 def generic_direction(vectors) -> Vec:

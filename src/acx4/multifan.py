@@ -8,7 +8,19 @@ shared sign is equivalent to the existence, at every index, of an integer
 a[i] with v[i+1] = -a[i]*v[i] - v[i-1]; the validator checks the
 one-comparison-per-edge determinant form.
 
-All values are immutable; rewrites return fresh, re-validated fans.
+validate_multifan checks a whole sequence and is the gate for every input
+from outside the program.  Once a fan is admissible, blow-ups and
+blow-downs keep it so, and they are local: inserting v+w between v and w
+replaces det(v, w) by det(v, v+w) = det(v+w, w), both equal to it, and
+deleting v[i] = v[i-1] + v[i+1] replaces two determinants by
+det(v[i-1], v[i+1]), equal to both.  The one rewrite kernel,
+blow_up_inplace and blow_down_inplace on a mutable vector list, therefore
+checks only those determinants, in O(1) arithmetic, and raises
+InternalInconsistency if one differs.  Every fan, family, replay, generator
+and reduction rewrite runs through it.
+
+MultiFan and MultiFanFamily values are immutable; the rewrites on them copy
+the vector list, edit it with the kernel and wrap the result.
 """
 
 from __future__ import annotations
@@ -62,8 +74,11 @@ def _as_vec(item, index) -> Vec:
         x, y = item
     except (TypeError, ValueError):
         raise DomainError(f"vector at index {index} is not a pair") from None
-    if not isinstance(x, int) or not isinstance(y, int):
-        raise DomainError(f"vector at index {index} must have integer entries")
+    if type(x) is not int or type(y) is not int:
+        # int subclasses pass, except bool: True is not the coordinate 1
+        if (not isinstance(x, int) or not isinstance(y, int)
+                or isinstance(x, bool) or isinstance(y, bool)):
+            raise DomainError(f"vector at index {index} must have integer entries")
     return (x, y)
 
 
@@ -120,25 +135,62 @@ def self_intersections(fan: MultiFan) -> list[int]:
     return [eps * lattice.det2(vs[(i + 1) % k], vs[i - 1]) for i in range(k)]
 
 
-def blow_up_fan(fan: MultiFan, i: int) -> MultiFan:
-    """Insert v[i] + v[i+1] between cyclic positions i and i+1."""
-    vs = fan.vectors
+def _check_local(d, d1, d2, rewrite, i):
+    # the determinants a rewrite touches: all three equal, and +-1
+    if not d == d1 == d2 or (d != 1 and d != -1):
+        raise InternalInconsistency(
+            f"{rewrite} at {i}: determinants {d}, {d1}, {d2} break admissibility")
+
+
+def blow_up_inplace(vs: list, i: int) -> Vec:
+    """Insert v[i] + v[i+1] between cyclic positions i and i+1 of an
+    admissible vector list, in place; returns the inserted vector.
+
+    Checks only det(v[i], v[i+1]) and the two determinants replacing it.
+    """
     k = len(vs)
     if not 0 <= i < k:
         raise IndexOutOfRange(i, k)
-    inserted = lattice.add(vs[i], vs[(i + 1) % k])
-    return validate_multifan(vs[: i + 1] + (inserted,) + vs[i + 1 :])
+    v = vs[i]
+    w = vs[(i + 1) % k]
+    u = (v[0] + w[0], v[1] + w[1])
+    _check_local(lattice.det2(v, w), lattice.det2(v, u), lattice.det2(u, w),
+                 "blow-up", i)
+    vs.insert(i + 1, u)
+    return u
+
+
+def blow_down_inplace(vs: list, i: int) -> Vec:
+    """Delete v[i] from an admissible vector list, in place; applies only
+    when v[i] = v[i-1] + v[i+1].  Returns the deleted vector.
+
+    Checks only det(v[i-1], v[i]), det(v[i], v[i+1]) and the determinant
+    det(v[i-1], v[i+1]) replacing them.
+    """
+    k = len(vs)
+    if not 0 <= i < k:
+        raise IndexOutOfRange(i, k)
+    v, u, w = vs[i - 1], vs[i], vs[(i + 1) % k]
+    if u != (v[0] + w[0], v[1] + w[1]):
+        raise NotBlowDownable(i)
+    _check_local(lattice.det2(v, w), lattice.det2(v, u), lattice.det2(u, w),
+                 "blow-down", i)
+    del vs[i]
+    return u
+
+
+def blow_up_fan(fan: MultiFan, i: int) -> MultiFan:
+    """Insert v[i] + v[i+1] between cyclic positions i and i+1."""
+    vs = list(fan.vectors)
+    blow_up_inplace(vs, i)
+    return MultiFan(tuple(vs))
 
 
 def blow_down_fan(fan: MultiFan, i: int) -> MultiFan:
     """Delete v[i]; applies only when v[i] = v[i-1] + v[i+1]."""
-    vs = fan.vectors
-    k = len(vs)
-    if not 0 <= i < k:
-        raise IndexOutOfRange(i, k)
-    if vs[i] != lattice.add(vs[i - 1], vs[(i + 1) % k]):
-        raise NotBlowDownable(i)
-    return validate_multifan(vs[:i] + vs[i + 1 :])
+    vs = list(fan.vectors)
+    blow_down_inplace(vs, i)
+    return MultiFan(tuple(vs))
 
 
 def blow_up_in_family(fam: MultiFanFamily, fan_index: int, i: int) -> MultiFanFamily:
@@ -189,25 +241,49 @@ def winding_number(fan: MultiFan, xi: Vec | None = None) -> int:
     return sum(1 for i in range(len(vs)) if sides[i - 1] < 0 and sides[i] > 0)
 
 
-def _rotations(vs):
-    return [vs[i:] + vs[:i] for i in range(len(vs))]
+def _least_rotation(vs):
+    """The lexicographically least rotation of a sequence, in O(k).
+
+    Booth's algorithm (Booth, IPL 1980): a Knuth-Morris-Pratt failure
+    function over the doubled sequence, restarted whenever a smaller
+    candidate start k appears.  On a periodic sequence any least start
+    gives the same rotation.
+    """
+    s = vs + vs
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:
+            # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return vs[k:] + vs[:k]
 
 
 def canonical_form(fan: MultiFan, mode: str = ROTATIONS) -> MultiFan:
     """Deterministic representative of a fan's equivalence orbit.
 
-    ``rotations`` minimizes over cyclic rotations only; ``full`` also admits
-    the reversed traversal with negated vectors (the same cycle of spheres
+    ``rotations`` takes the least cyclic rotation; ``full`` also admits the
+    reversed traversal with negated vectors (the same cycle of spheres
     walked backwards).  Vectors compare lexicographically by (x, y); the
-    specific order is arbitrary but fixed.
+    specific order is arbitrary but fixed.  Linear in the fan length.
     """
     if mode not in _MODES:
         raise DomainError(f"unknown canonical-form mode {mode!r}")
-    candidates = _rotations(fan.vectors)
+    best = _least_rotation(fan.vectors)
     if mode == ROTATIONS_AND_REVERSAL:
         reversed_negated = tuple(lattice.neg(v) for v in reversed(fan.vectors))
-        candidates.extend(_rotations(reversed_negated))
-    return MultiFan(min(candidates))
+        best = min(best, _least_rotation(reversed_negated))
+    return MultiFan(best)
 
 
 def fans_equivalent(f1: MultiFan, f2: MultiFan, mode: str = ROTATIONS) -> bool:

@@ -13,19 +13,34 @@ blow-up/blow-down script:
   a = +1   w equals -w1 - w2: blow-ups bracket w with -w2 and -w1, both
            strictly shorter, and a blow-down removes w.
 
+The engine works on one mutable vector list per fan and applies every move
+through the multifan kernel, which checks the two or three determinants
+the move touches (a blow-up or blow-down keeps det(v, w) on every new
+consecutive pair, so those local checks keep the whole fan admissible).
+Beside each list it keeps the squared norms in blocks of about sqrt(k)
+with cached block maxima, so finding the first longest vector and updating
+after a move cost O(sqrt(k)) rather than a pass over the family.
+
 Every iteration strictly shrinks the multiset of squared norms, so the loop
-terminates; the engine re-checks that, the case bound on a, and the
-admissibility of every rewritten fan as it goes, raising
-InternalInconsistency if any of them ever fails.
+terminates.  The engine checks that step by the Dershowitz-Manna rule
+(Dershowitz-Manna, CACM 1979): the one vector removed is the maximum and
+every vector inserted is strictly shorter.  It also checks the case bound
+on a, raising InternalInconsistency if either ever fails.  An iteration
+costs O(sqrt(k)) outside the kernel's list edits; replay is linear in the
+number of moves apart from those edits.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from math import isqrt
 
 from . import lattice
 from .errors import (
     DomainError,
+    IndexOutOfRange,
     InternalInconsistency,
     MoveInapplicable,
     NotToddOne,
@@ -34,8 +49,8 @@ from .lattice import Vec
 from .multifan import (
     MultiFan,
     MultiFanFamily,
-    blow_down_in_family,
-    blow_up_in_family,
+    blow_down_inplace,
+    blow_up_inplace,
     is_minimal_fan,
     orientation,
     winding_number,
@@ -69,67 +84,116 @@ class MoveLog:
     final: MultiFanFamily
 
 
-def apply_move(fam: MultiFanFamily, move: Move) -> MultiFanFamily:
-    """Apply one move, verifying the recorded vector against the rewrite."""
+def _lists(fam: MultiFanFamily) -> list[list[Vec]]:
+    return [list(fan.vectors) for fan in fam.fans]
+
+
+def _family(fans: list[list[Vec]]) -> MultiFanFamily:
+    return MultiFanFamily(tuple(MultiFan(tuple(vs)) for vs in fans))
+
+
+def _apply(fans: list[list[Vec]], move: Move) -> None:
+    """Apply one move to per-fan vector lists in place, verifying the
+    recorded vector; after a DomainError the lists are not to be used."""
+    if move.kind not in (BLOW_UP, BLOW_DOWN):
+        raise DomainError(f"unknown move kind {move.kind!r}")
+    if not 0 <= move.fan_index < len(fans):
+        raise IndexOutOfRange(move.fan_index, len(fans))
+    vs = fans[move.fan_index]
     if move.kind == BLOW_UP:
-        new_fam = blow_up_in_family(fam, move.fan_index, move.position)
-        got = new_fam.fans[move.fan_index].vectors[move.position + 1]
+        got = blow_up_inplace(vs, move.position)
         if got != move.vector:
             raise DomainError(
                 f"recorded vector {move.vector} differs from inserted {got}")
-        return new_fam
-    if move.kind == BLOW_DOWN:
-        fan = fam.fans[move.fan_index] if 0 <= move.fan_index < len(fam.fans) else None
-        if fan is not None and (
-            not 0 <= move.position < len(fan.vectors)
-            or fan.vectors[move.position] != move.vector
-        ):
-            raise DomainError(
-                f"recorded vector {move.vector} is not at position {move.position}")
-        return blow_down_in_family(fam, move.fan_index, move.position)
-    raise DomainError(f"unknown move kind {move.kind!r}")
+        return
+    if not 0 <= move.position < len(vs) or vs[move.position] != move.vector:
+        raise DomainError(
+            f"recorded vector {move.vector} is not at position {move.position}")
+    blow_down_inplace(vs, move.position)
+
+
+def apply_move(fam: MultiFanFamily, move: Move) -> MultiFanFamily:
+    """Apply one move, verifying the recorded vector against the rewrite."""
+    fans = _lists(fam)
+    _apply(fans, move)
+    return _family(fans)
 
 
 def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
     """Apply a move sequence to a family, failing on the first mismatch."""
-    fam = initial
+    fans = _lists(initial)
     for i, mv in enumerate(moves):
         try:
-            fam = apply_move(fam, mv)
+            _apply(fans, mv)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
-    return fam
+    return _family(fans)
 
 
-def _norm_profile(fam: MultiFanFamily):
-    # squared norms, sorted descending: the termination metric
-    return tuple(
-        sorted((lattice.norm_sq(v) for fan in fam.fans for v in fan.vectors),
-               reverse=True)
-    )
+class _NormBlocks:
+    """One fan's squared norms in order, cut into blocks with cached maxima.
+
+    Blocks start at about sqrt(k) entries and split when they reach twice
+    that; an emptied block is dropped.  Inserting, deleting and finding the
+    first position of the largest norm each touch one block plus the list
+    of block lengths or maxima.
+    """
+
+    __slots__ = ("blocks", "maxima", "cap")
+
+    def __init__(self, vs):
+        size = max(8, isqrt(len(vs)))
+        norms = [x * x + y * y for x, y in vs]
+        self.blocks = [norms[s : s + size] for s in range(0, len(norms), size)]
+        self.maxima = [max(b) for b in self.blocks]
+        self.cap = 2 * size
+
+    def _locate(self, p):
+        # (block, offset) of position p; p == length lands past the last entry
+        ends = list(accumulate(map(len, self.blocks)))
+        b = min(bisect_right(ends, p), len(ends) - 1)
+        return b, p - ends[b] + len(self.blocks[b])
+
+    def insert(self, p, n):
+        b, off = self._locate(p)
+        block = self.blocks[b]
+        block.insert(off, n)
+        if n > self.maxima[b]:
+            self.maxima[b] = n
+        if len(block) >= self.cap:
+            half = len(block) // 2
+            lo, hi = block[:half], block[half:]
+            self.blocks[b : b + 1] = [lo, hi]
+            self.maxima[b : b + 1] = [max(lo), max(hi)]
+
+    def delete(self, p):
+        b, off = self._locate(p)
+        block = self.blocks[b]
+        n = block.pop(off)
+        if not block:
+            del self.blocks[b]
+            del self.maxima[b]
+        elif n == self.maxima[b]:
+            self.maxima[b] = max(block)
+        return n
+
+    def top(self):
+        return max(self.maxima)
+
+    def first(self, n):
+        # position of the first entry equal to n
+        b = self.maxima.index(n)
+        return sum(map(len, self.blocks[:b])) + self.blocks[b].index(n)
 
 
-def _longest_position(fam: MultiFanFamily):
-    # first (fan, index) holding the strictly largest norm > 1, else None
-    best = 1
-    where = None
-    for j, fan in enumerate(fam.fans):
-        for i, (x, y) in enumerate(fan.vectors):
-            n = x * x + y * y
-            if n > best:
-                best = n
-                where = (j, i)
-    return where
-
-
-def _iteration_moves(fam: MultiFanFamily, j: int, i: int) -> list[Move]:
-    """The move script removing vector i of fan j (the current longest)."""
-    vs = fam.fans[j].vectors
+def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
+    """The move script removing vector i of fan j (the current longest);
+    vs is that fan's vector list and eps its orientation."""
     k = len(vs)
     w1 = vs[(i - 1) % k]
     w = vs[i]
     w2 = vs[(i + 1) % k]
-    a = orientation(fam.fans[j]) * lattice.det2(w2, w1)
+    a = eps * lattice.det2(w2, w1)
     if a not in (-1, 0, 1):
         raise InternalInconsistency(
             f"self-intersection {a} at the longest vector {w}; neighbors "
@@ -166,22 +230,37 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     family yields an empty log.  Fans are never reordered, merged, or
     dropped, and each keeps its winding number throughout.
     """
-    state = fam
+    fans = _lists(fam)
+    norms = [_NormBlocks(vs) for vs in fans]
+    signs = [orientation(fan) for fan in fam.fans]
     moves = []
-    profile = _norm_profile(state)
     while True:
-        where = _longest_position(state)
-        if where is None:
+        # the first fan holding the strictly largest norm > 1
+        longest, j = 1, None
+        for t, blocks in enumerate(norms):
+            n = blocks.top()
+            if n > longest:
+                longest, j = n, t
+        if j is None:
             break
-        step = _iteration_moves(state, *where)
+        step = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
+        removed = []
+        grew = False
         for mv in step:
-            state = apply_move(state, mv)
-        moves.extend(step)
-        new_profile = _norm_profile(state)
-        if not new_profile < profile:
+            _apply(fans, mv)
+            if mv.kind == BLOW_UP:
+                n = lattice.norm_sq(mv.vector)
+                grew = grew or n >= longest
+                norms[j].insert(mv.position + 1, n)
+            else:
+                removed.append(norms[j].delete(mv.position))
+        # Dershowitz-Manna: one copy of the maximum leaves and every vector
+        # inserted is strictly shorter, so the norm multiset shrinks
+        if grew or removed != [longest]:
             raise InternalInconsistency(
                 "norm profile failed to decrease in an iteration")
-        profile = new_profile
+        moves.extend(step)
+    state = _family(fans)
     for fan in state.fans:
         if not is_minimal_fan(fan):
             raise InternalInconsistency("reduction ended on a non-unit vector")

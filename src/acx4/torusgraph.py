@@ -71,8 +71,11 @@ def _as_edge(item, index) -> Edge:
         x, y = label
     except (TypeError, ValueError):
         raise DomainError(f"edge at index {index}: label is not a pair") from None
-    if not isinstance(x, int) or not isinstance(y, int):
-        raise DomainError(f"edge at index {index}: label must have integer entries")
+    if type(x) is not int or type(y) is not int:
+        # int subclasses pass, except bool: True is not the coordinate 1
+        if (not isinstance(x, int) or not isinstance(y, int)
+                or isinstance(x, bool) or isinstance(y, bool)):
+            raise DomainError(f"edge at index {index}: label must have integer entries")
     return Edge(str(src), str(dst), (x, y))
 
 

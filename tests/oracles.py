@@ -4,13 +4,22 @@ Everything here deliberately avoids the library's algorithms: winding
 numbers come from a floating-point angle sum, admissibility from literally
 solving the recurrence, and basis pairs from an extended-gcd line
 parametrization.  Agreement between the package and these oracles is the
-evidence the tests rely on.
+evidence the tests rely on.  The last section is different: it keeps the
+slower rewrite, reduction and canonical-form code that the library's fast
+paths replaced, built on the full validator, as the reference those paths
+must match exactly.
 """
 
 import math
 import random
 
 import acx4
+from acx4.errors import (
+    DomainError,
+    IndexOutOfRange,
+    MoveInapplicable,
+    NotBlowDownable,
+)
 
 
 def angle_sum_winding(vectors):
@@ -192,3 +201,153 @@ def scramble_graph(g, rng):
             edges.append((names[e.src], names[e.dst], e.label))
     rng.shuffle(edges)
     return acx4.validate_graph(vertices, edges)
+
+
+# --- reference implementations of the replaced rewrite paths ---------------
+#
+# The library's rewrites check only the determinants they touch, its
+# reduction engine finds the longest vector through cached block maxima and
+# checks each step by the Dershowitz-Manna multiset rule, and canonical_form
+# runs Booth's least-rotation algorithm.  What follows is the slower code
+# they replaced: every rewrite re-validates the whole fan, the engine scans
+# the whole family for the longest vector and re-sorts the full norm profile
+# after every iteration, and canonical_form builds every rotation.  The
+# faster paths must agree with these exactly, outputs and errors alike.
+
+def reference_blow_up_fan(fan, i):
+    vs = fan.vectors
+    k = len(vs)
+    if not 0 <= i < k:
+        raise IndexOutOfRange(i, k)
+    inserted = (vs[i][0] + vs[(i + 1) % k][0], vs[i][1] + vs[(i + 1) % k][1])
+    return acx4.validate_multifan(vs[: i + 1] + (inserted,) + vs[i + 1 :])
+
+
+def reference_blow_down_fan(fan, i):
+    vs = fan.vectors
+    k = len(vs)
+    if not 0 <= i < k:
+        raise IndexOutOfRange(i, k)
+    if vs[i] != (vs[i - 1][0] + vs[(i + 1) % k][0],
+                 vs[i - 1][1] + vs[(i + 1) % k][1]):
+        raise NotBlowDownable(i)
+    return acx4.validate_multifan(vs[:i] + vs[i + 1 :])
+
+
+def _reference_in_family(rewrite, fam, fan_index, i):
+    if not 0 <= fan_index < len(fam.fans):
+        raise IndexOutOfRange(fan_index, len(fam.fans))
+    new = rewrite(fam.fans[fan_index], i)
+    return acx4.MultiFanFamily(
+        fam.fans[:fan_index] + (new,) + fam.fans[fan_index + 1 :])
+
+
+def reference_apply_move(fam, move):
+    if move.kind == acx4.BLOW_UP:
+        new_fam = _reference_in_family(reference_blow_up_fan, fam,
+                                       move.fan_index, move.position)
+        got = new_fam.fans[move.fan_index].vectors[move.position + 1]
+        if got != move.vector:
+            raise DomainError(
+                f"recorded vector {move.vector} differs from inserted {got}")
+        return new_fam
+    if move.kind == acx4.BLOW_DOWN:
+        fan = fam.fans[move.fan_index] if 0 <= move.fan_index < len(fam.fans) else None
+        if fan is not None and (
+            not 0 <= move.position < len(fan.vectors)
+            or fan.vectors[move.position] != move.vector
+        ):
+            raise DomainError(
+                f"recorded vector {move.vector} is not at position {move.position}")
+        return _reference_in_family(reference_blow_down_fan, fam,
+                                    move.fan_index, move.position)
+    raise DomainError(f"unknown move kind {move.kind!r}")
+
+
+def reference_replay(initial, moves):
+    fam = initial
+    for i, mv in enumerate(moves):
+        try:
+            fam = reference_apply_move(fam, mv)
+        except DomainError as exc:
+            raise MoveInapplicable(i, str(exc)) from exc
+    return fam
+
+
+def _reference_choice(v1, v2):
+    # the sign rule with both of its branches, as first written
+    target = v2[0] ** 2 + v2[1] ** 2
+    n_minus = (v2[0] - v1[0]) ** 2 + (v2[1] - v1[1]) ** 2
+    n_plus = (v2[0] + v1[0]) ** 2 + (v2[1] + v1[1]) ** 2
+    ok_minus, ok_plus = n_minus < target, n_plus < target
+    assert ok_minus or ok_plus, (v1, v2)
+    if ok_minus and ok_plus:
+        return -1 if n_minus <= n_plus else 1
+    return -1 if ok_minus else 1
+
+
+def _reference_profile(fam):
+    return tuple(sorted((x * x + y * y for fan in fam.fans for x, y in fan.vectors),
+                        reverse=True))
+
+
+def _reference_longest(fam):
+    best, where = 1, None
+    for j, fan in enumerate(fam.fans):
+        for i, (x, y) in enumerate(fan.vectors):
+            if x * x + y * y > best:
+                best, where = x * x + y * y, (j, i)
+    return where
+
+
+def _reference_iteration(fam, j, i):
+    Move = acx4.Move
+    vs = fam.fans[j].vectors
+    k = len(vs)
+    w1, w, w2 = vs[(i - 1) % k], vs[i], vs[(i + 1) % k]
+    a = acx4.orientation(fam.fans[j]) * acx4.det2(w2, w1)
+    assert a in (-1, 0, 1), a
+    if a == -1:
+        return [Move(acx4.BLOW_DOWN, j, i, w)]
+    pair = (i - 1) % k
+    w_pos = i + 1 if pair + 1 <= i else i
+    if a == 0:
+        if _reference_choice(w1, w) == -1:
+            return [Move(acx4.BLOW_UP, j, i, (w[0] - w1[0], w[1] - w1[1])),
+                    Move(acx4.BLOW_DOWN, j, i, w)]
+        return [Move(acx4.BLOW_UP, j, pair, (w[0] + w1[0], w[1] + w1[1])),
+                Move(acx4.BLOW_DOWN, j, w_pos, w)]
+    return [Move(acx4.BLOW_UP, j, pair, (-w2[0], -w2[1])),
+            Move(acx4.BLOW_UP, j, w_pos, (-w1[0], -w1[1])),
+            Move(acx4.BLOW_DOWN, j, w_pos, w)]
+
+
+def reference_reduce_to_minimal(fam):
+    """The whole-family-scan engine: same log, same final family."""
+    state = fam
+    moves = []
+    profile = _reference_profile(state)
+    while True:
+        where = _reference_longest(state)
+        if where is None:
+            break
+        step = _reference_iteration(state, *where)
+        for mv in step:
+            state = reference_apply_move(state, mv)
+        moves.extend(step)
+        new_profile = _reference_profile(state)
+        assert new_profile < profile
+        profile = new_profile
+    assert all(acx4.is_minimal_fan(fan) for fan in state.fans)
+    return state, acx4.MoveLog(fam, tuple(moves), state)
+
+
+def reference_canonical_form(fan, mode=acx4.ROTATIONS):
+    """The least of all k rotations (and, in full mode, of all k rotations
+    of the reversed, negated sequence)."""
+    vs = fan.vectors
+    candidates = [vs[i:] + vs[:i] for i in range(len(vs))]
+    if mode == acx4.ROTATIONS_AND_REVERSAL:
+        back = tuple((-x, -y) for x, y in reversed(vs))
+        candidates.extend(back[i:] + back[:i] for i in range(len(back)))
+    return acx4.MultiFan(min(candidates))

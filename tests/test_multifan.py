@@ -9,6 +9,7 @@ from acx4 import multifan
 from acx4.errors import (
     DomainError,
     IndexOutOfRange,
+    InternalInconsistency,
     NotABasis,
     NotBlowDownable,
     OrientationFlip,
@@ -65,6 +66,21 @@ def test_validator_agrees_with_recurrence_oracle():
         assert got == expected, raw
 
 
+def test_validate_rejects_bool_entries():
+    # bool is an int subclass; True must not pass for the coordinate 1
+    for bad in [(True, False), (1, True), (False, -1)]:
+        with pytest.raises(DomainError, match="vector at index 0 must have integer entries"):
+            acx4.validate_multifan([bad, (0, 1), (-1, 0), (0, -1)])
+    with pytest.raises(DomainError, match="vector at index 3 must have integer entries"):
+        acx4.validate_multifan([(1, 0), (0, 1), (-1, 0), (0, False)])
+
+    class Coordinate(int):
+        pass
+
+    fan = acx4.validate_multifan([(Coordinate(1), 0), (0, 1), (-1, 0), (0, -1)])
+    assert fan.vectors == tuple(MINIMAL)
+
+
 def test_orientation():
     assert acx4.orientation(acx4.validate_multifan(CP2)) == acx4.CCW
     reversed_cp2 = acx4.validate_multifan([(0, -1), (-1, 1), (1, 0)])
@@ -115,6 +131,32 @@ def test_blow_up_preserves_orientation_and_winding():
         up = acx4.blow_up_fan(fan, i)
         assert acx4.orientation(up) == acx4.orientation(fan)
         assert acx4.winding_number(up) == acx4.winding_number(fan)
+
+
+def test_kernel_edits_the_list_in_place():
+    vs = list(MINIMAL)
+    assert acx4.blow_up_inplace(vs, 3) == (1, -1)
+    assert vs == MINIMAL + [(1, -1)]
+    assert acx4.blow_down_inplace(vs, 4) == (1, -1)
+    assert vs == MINIMAL
+    with pytest.raises(IndexOutOfRange):
+        acx4.blow_up_inplace(vs, 4)
+    with pytest.raises(NotBlowDownable) as exc:
+        acx4.blow_down_inplace(vs, 2)
+    assert exc.value.where == 2
+    assert vs == MINIMAL
+
+
+def test_kernel_checks_the_determinants_it_touches():
+    # (1, 0), (1, 2) has determinant 2: the pair is not a basis, which only
+    # a list that skipped validation can hold
+    broken = [(1, 0), (1, 2), (0, -1), (-1, 0)]
+    with pytest.raises(InternalInconsistency):
+        acx4.blow_up_inplace(broken, 0)
+    broken = [(1, 0), (2, 2), (1, 2), (0, -1)]
+    with pytest.raises(InternalInconsistency):
+        acx4.blow_down_inplace(broken, 1)
+    assert broken == [(1, 0), (2, 2), (1, 2), (0, -1)]
 
 
 def test_blow_down_golden():

@@ -1,0 +1,204 @@
+"""The fast rewrite paths against the slower code they replaced.
+
+tests/oracles.py keeps the whole-fan re-validating rewrites, the
+full-scan reduction engine with its sorted norm profile, and the
+all-rotations canonical form.  The local-check kernel, the block-indexed
+engine and Booth's canonical form must agree with them byte for byte, on
+outputs and on errors.
+"""
+
+import random
+
+import pytest
+
+import oracles
+import acx4
+from acx4 import lattice
+from acx4.errors import (
+    DomainError,
+    IndexOutOfRange,
+    InternalInconsistency,
+    MoveInapplicable,
+)
+from acx4.multifan import MultiFan
+from acx4.reduction import BLOW_DOWN, BLOW_UP, Move
+from acx4.serialize import document_for, emit_document
+
+
+def log_text(log):
+    return emit_document(document_for(log))
+
+
+def assert_same_reduction(fam):
+    final, log = acx4.reduce_to_minimal(fam)
+    ref_final, ref_log = oracles.reference_reduce_to_minimal(fam)
+    assert log_text(log) == log_text(ref_log)
+    assert final == ref_final
+    return log
+
+
+def iteration_sizes(log):
+    # one move per a = -1 iteration, two per a = 0, three per a = +1
+    sizes = []
+    moves = log.moves
+    p = 0
+    while p < len(moves):
+        if moves[p].kind == BLOW_DOWN:
+            size = 1
+        elif moves[p + 1].kind == BLOW_DOWN:
+            size = 2
+        else:
+            size = 3
+        sizes.append(size)
+        p += size
+    return sizes
+
+
+def euclid_family(n):
+    return acx4.MultiFanFamily(
+        (acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
+
+
+def test_logs_match_reference_on_criterion_4_seeds():
+    for seed in range(10_000):
+        assert_same_reduction(oracles.random_mutated_family(seed))
+
+
+def test_logs_match_reference_in_every_case():
+    rng = random.Random(0x1D)
+    seen = set()
+    for _ in range(200):
+        fam = oracles.random_mutated_family(rng.randrange(1 << 30))
+        seen.update(iteration_sizes(assert_same_reduction(fam)))
+    assert seen == {1, 2, 3}
+
+
+def test_logs_match_reference_on_euclid_fans():
+    for n in list(range(1, 61)) + [500]:
+        log = assert_same_reduction(euclid_family(n))
+        assert len(log.moves) == 4 * n + 3
+
+
+def test_logs_match_reference_on_growing_fans():
+    # reducing a Todd fan adds vectors (a = +1 steps) faster than it drops
+    # them, so from n0 = 7 on a norm block outgrows its cap and splits
+    for n0 in range(1, 21):
+        assert_same_reduction(acx4.MultiFanFamily((acx4.make_todd_fan(n0),)))
+    for n0, n1 in [(4, 7), (5, 5), (7, 1), (3, 12)]:
+        assert_same_reduction(acx4.realize_chi_y(n0, n1))
+
+
+def test_replay_matches_reference():
+    rng = random.Random(0x2E)
+    for _ in range(100):
+        fam = oracles.random_mutated_family(rng.randrange(1 << 30))
+        _, log = acx4.reduce_to_minimal(fam)
+        assert acx4.replay(fam, log.moves) == oracles.reference_replay(fam, log.moves)
+
+
+def test_engine_checks_each_step_by_the_multiset_rule(monkeypatch):
+    # the wrong sign in an a = 0 step inserts a vector longer than the one
+    # it replaces; the Dershowitz-Manna check must refuse that step
+    real = lattice.reduction_choice
+    monkeypatch.setattr(lattice, "reduction_choice", lambda v1, v2: -real(v1, v2))
+    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 3),))
+    with pytest.raises(InternalInconsistency, match="norm profile"):
+        acx4.reduce_to_minimal(fam)
+
+
+# --- canonical form -----------------------------------------------------------
+
+def assert_same_canonical(fan):
+    for mode in (acx4.ROTATIONS, acx4.ROTATIONS_AND_REVERSAL):
+        assert acx4.canonical_form(fan, mode) == oracles.reference_canonical_form(fan, mode)
+
+
+def test_canonical_form_matches_reference_on_random_fans():
+    rng = random.Random(0x3F)
+    for _ in range(300):
+        fam = oracles.random_mutated_family(rng.randrange(1 << 30))
+        for fan in fam.fans:
+            assert_same_canonical(fan)
+    for _ in range(200):
+        assert_same_canonical(oracles.random_winding_fan(rng.randrange(1 << 30),
+                                                         rng.randint(1, 3)))
+
+
+def test_canonical_form_matches_reference_on_periodic_fans():
+    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for s in range(1, 9):
+        assert_same_canonical(acx4.validate_multifan(unit * s))
+        assert_same_canonical(acx4.validate_multifan(unit[::-1] * s))
+    rng = random.Random(0x40)
+    for _ in range(200):
+        block = oracles.random_winding_fan(rng.randrange(1 << 30), 1, 5).vectors
+        assert_same_canonical(acx4.validate_multifan(block * rng.randint(2, 5)))
+    # unvalidated sequences over two or three letters: the cases where the
+    # least rotation is reached from several starts or only after long ties
+    for _ in range(2000):
+        letters = [(rng.randrange(3), rng.randrange(2)) for _ in range(rng.randint(1, 4))]
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        assert_same_canonical(MultiFan(word * rng.randint(1, 4)))
+
+
+# --- error paths ----------------------------------------------------------------
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except DomainError as exc:
+        return (type(exc), str(exc), getattr(exc, "index", None))
+
+
+def corrupt(move, rng, fam_size):
+    field = rng.randrange(4)
+    if field == 0:
+        kind = rng.choice([k for k in (BLOW_UP, BLOW_DOWN, "blow_sideways")
+                           if k != move.kind])
+        return Move(kind, move.fan_index, move.position, move.vector)
+    if field == 1:
+        j = rng.choice([move.fan_index + 1, move.fan_index - 1, fam_size, -1])
+        return Move(move.kind, j, move.position, move.vector)
+    if field == 2:
+        i = rng.choice([move.position + 1, move.position - 1, -1, 10 ** 6])
+        return Move(move.kind, move.fan_index, i, move.vector)
+    x, y = move.vector
+    return Move(move.kind, move.fan_index, move.position,
+                rng.choice([(x + 1, y), (x, y - 1), (-x, -y)]))
+
+
+def test_corrupted_logs_fail_like_the_reference():
+    rng = random.Random(0x51)
+    failures = 0
+    for _ in range(400):
+        fam = oracles.random_mutated_family(rng.randrange(1 << 30), max_blowups=20)
+        _, log = acx4.reduce_to_minimal(fam)
+        if not log.moves:
+            continue
+        moves = list(log.moves)
+        t = rng.randrange(len(moves))
+        moves[t] = corrupt(moves[t], rng, len(fam.fans))
+        got = outcome(acx4.replay, fam, moves)
+        assert got == outcome(oracles.reference_replay, fam, moves)
+        if got[0] is MoveInapplicable:
+            failures += 1
+    assert failures > 300
+
+
+def test_fan_rewrite_errors_match_reference():
+    rng = random.Random(0x62)
+    for _ in range(200):
+        fam = oracles.random_mutated_family(rng.randrange(1 << 30), max_blowups=12)
+        fan = fam.fans[0]
+        for i in range(-2, len(fan.vectors) + 2):
+            assert (outcome(acx4.blow_up_fan, fan, i)
+                    == outcome(oracles.reference_blow_up_fan, fan, i))
+            assert (outcome(acx4.blow_down_fan, fan, i)
+                    == outcome(oracles.reference_blow_down_fan, fan, i))
+        for j in (-1, len(fam.fans)):
+            with pytest.raises(IndexOutOfRange) as exc:
+                acx4.blow_up_in_family(fam, j, 0)
+            assert exc.value.index == j
+            with pytest.raises(IndexOutOfRange) as exc:
+                acx4.blow_down_in_family(fam, j, 0)
+            assert exc.value.index == j

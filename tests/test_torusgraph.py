@@ -81,6 +81,13 @@ def test_validate_label_errors():
             [("p1", "p2", (1, 0)), ("p2", "p3", (0, 1)), ("p3", "p1", (-1, 1))])
 
 
+def test_validate_rejects_bool_labels():
+    for label in [(True, False), (1, True), (False, 0)]:
+        with pytest.raises(DomainError, match="edge at index 0: label must have integer entries"):
+            acx4.validate_graph(CP2_VERTICES,
+                                [("p1", "p2", label)] + CP2_EDGES[1:])
+
+
 def test_weights_at_golden():
     g = cp2_graph()
     assert acx4.weights_at(g, "p2") == ((-1, 0), (-1, 1))

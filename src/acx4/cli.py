@@ -274,10 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    # building the parser costs far more than a parse, so it is built once
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

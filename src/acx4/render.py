@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .multifan import MultiFanFamily
-from .torusgraph import TorusGraph, _normalized_components
+from .torusgraph import TorusGraph, normalized_components
 
 
 def render_fan_svg(fam: MultiFanFamily) -> str:
@@ -87,7 +87,7 @@ def render_graph_tikz(g: TorusGraph) -> str:
     name_of = {v: f"n{i}" for i, v in enumerate(g.vertices)}
     lines = [r"\begin{tikzpicture}[state/.style={circle, draw}]"]
     offset = 0.0
-    for cycle in _normalized_components(g):
+    for cycle in normalized_components(g):
         k = len(cycle)
         radius = max(1.5, 0.4 * k)
         cx = offset + radius

@@ -3,18 +3,28 @@
 Vertices are opaque strings; every vertex meets exactly two edge ends, so
 each connected component is a cycle.  Edge directions in stored graphs are
 arbitrary: reversing an edge while negating its label describes the same
-sphere, and every algorithm here first normalizes each component into a
-consistently directed cycle through that identity, which leaves the weights
-seen at every vertex unchanged.
+sphere, and normalize_orientation turns each component into a consistently
+directed cycle through that identity, which leaves the weights seen at
+every vertex unchanged.
 
 The traversal labels of a normalized component form a multi-fan, and that
 reading is a bijection between admissible graphs and admissible families:
 graph_to_family and family_to_graph invert each other exactly.
+
+validate_graph checks a whole graph and is the gate for every graph from
+outside the program.  A blow-up or blow-down of a graph is the same local
+move as on its fan, so blow_up_graph and blow_down_graph normalize only an
+input that is not yet directed (a directed cycle normalizes to itself),
+edit the vertex and edge tuples around the touched vertex, and check only
+the determinants the move touches, through the fan kernel
+blow_up_inplace / blow_down_inplace; a broken one raises
+InternalInconsistency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import lattice
 from .errors import (
@@ -33,7 +43,13 @@ from .errors import (
     ZeroVector,
 )
 from .lattice import Vec
-from .multifan import MultiFanFamily, validate_multifan
+from .multifan import (
+    MultiFanFamily,
+    blow_down_inplace,
+    blow_up_inplace,
+    is_minimal_fan,
+    validate_multifan,
+)
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,7 @@ def _component_vertices(g, inc, v0):
     return seen
 
 
-def _normalized_components(g: TorusGraph):
+def normalized_components(g: TorusGraph):
     """Walk each component as a directed cycle of (edge index, oriented edge).
 
     Components come out in first-appearance order of their vertices.  Each
@@ -178,7 +194,7 @@ def validate_graph(vertices, edges) -> TorusGraph:
             raise NotTwoRegular(v, degree[v])
 
     g = TorusGraph(verts, es)
-    for cycle in _normalized_components(g):
+    for cycle in normalized_components(g):
         labels = [oe.label for _, oe in cycle]
         try:
             validate_multifan(labels)
@@ -215,7 +231,7 @@ def normalize_orientation(g: TorusGraph) -> TorusGraph:
     label, so weights_at is unchanged at every vertex.
     """
     new_edges = list(g.edges)
-    for cycle in _normalized_components(g):
+    for cycle in normalized_components(g):
         for idx, oriented in cycle:
             new_edges[idx] = oriented
     return TorusGraph(g.vertices, tuple(new_edges))
@@ -225,7 +241,7 @@ def graph_to_family(g: TorusGraph) -> MultiFanFamily:
     """One fan per component: the normalized traversal labels in order."""
     fans = tuple(
         validate_multifan([oe.label for _, oe in cycle])
-        for cycle in _normalized_components(g)
+        for cycle in normalized_components(g)
     )
     return MultiFanFamily(fans)
 
@@ -254,118 +270,108 @@ def _fresh(base, used):
     return name
 
 
+_src = attrgetter("src")
+_dst = attrgetter("dst")
+
+
+def _directed(g: TorusGraph):
+    """g with every cycle directed, and the source vertex of each edge.
+
+    A 2-regular graph whose every vertex is the source of exactly one edge
+    is already a union of directed cycles, which normalization would
+    reproduce verbatim.
+    """
+    srcs = list(map(_src, g.edges))
+    if len(set(srcs)) == len(g.vertices):
+        return g, srcs
+    g = normalize_orientation(g)
+    return g, list(map(_src, g.edges))
+
+
+def _slot(g: TorusGraph, v) -> int:
+    try:
+        return g.vertices.index(v)
+    except ValueError:
+        raise UnknownVertex(v) from None
+
+
 def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     """Split vertex v into an edge labeled by the sum of its two weights.
 
-    After normalization v has one incoming edge (p', v, w1) and one
-    outgoing edge (v, p'', w2); v is replaced by fresh vertices v', v''
-    joined by a (w1+w2)-edge, keeping the outer edges' labels.
+    In a consistently directed g, v has one incoming edge (p', v, w1) and
+    one outgoing edge (v, p'', w2); v is replaced, in its vertex slot, by
+    fresh vertices v', v'' joined by a (w1+w2)-edge stored right after the
+    incoming edge, and the outer edges keep their labels.  An undirected g
+    is normalized first.  Only the two edges at v change, so the fan
+    kernel checks the determinants the new edge touches in place of
+    validate_graph.
     """
-    if v not in g.vertices:
-        raise UnknownVertex(v)
-    ng = normalize_orientation(g)
-    (in_idx,) = [i for i, e in enumerate(ng.edges) if e.dst == v]
-    (out_idx,) = [i for i, e in enumerate(ng.edges) if e.src == v]
-    in_e = ng.edges[in_idx]
-    out_e = ng.edges[out_idx]
-    used = set(ng.vertices)
+    slot = _slot(g, v)
+    g, srcs = _directed(g)
+    edges = list(g.edges)
+    in_idx = list(map(_dst, edges)).index(v)
+    out_idx = srcs.index(v)
+    in_e = edges[in_idx]
+    out_e = edges[out_idx]
+    middle = blow_up_inplace([in_e.label, out_e.label], 0)
+    used = set(g.vertices)
     used.discard(v)
     v1 = _fresh(v + "'", used)
     v2 = _fresh(v + "''", used)
-    vertices = []
-    for u in ng.vertices:
-        if u == v:
-            vertices.extend((v1, v2))
-        else:
-            vertices.append(u)
-    middle = Edge(v1, v2, lattice.add(in_e.label, out_e.label))
-    edges = []
-    for i, e in enumerate(ng.edges):
-        if i == in_idx:
-            edges.append(Edge(e.src, v1, e.label))
-            edges.append(middle)
-        elif i == out_idx:
-            edges.append(Edge(v2, e.dst, e.label))
-        else:
-            edges.append(e)
-    return validate_graph(vertices, edges)
+    vertices = g.vertices[:slot] + (v1, v2) + g.vertices[slot + 1 :]
+    edges[in_idx] = Edge(in_e.src, v1, in_e.label)
+    edges[out_idx] = Edge(v2, out_e.dst, out_e.label)
+    edges.insert(in_idx + 1, Edge(v1, v2, middle))
+    return TorusGraph(vertices, tuple(edges))
 
 
 def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     """Contract an exceptional edge to a single vertex.
 
     The edge may be given as an Edge or a (vertex, vertex) pair and is
-    matched direction-insensitively.  With normalized pattern (p', p1, w1),
+    matched direction-insensitively.  With directed pattern (p', p1, w1),
     (p1, p2, w), (p2, p'', w2) it applies only when w = w1 + w2; the
-    contracted vertex takes the lexicographically smaller of the two ids.
+    contracted vertex takes the lexicographically smaller of the two ids
+    and the earlier of their two vertex slots.  An undirected g is
+    normalized first.  Only the three edges of the pattern change, so the
+    fan kernel checks the determinants the contraction touches in place of
+    validate_graph.
     """
     if isinstance(edge, Edge):
         a, b = edge.src, edge.dst
     else:
         a, b = edge
-    for u in (a, b):
-        if u not in g.vertices:
-            raise UnknownVertex(u)
-    ng = normalize_orientation(g)
-    mids = [i for i, e in enumerate(ng.edges) if {e.src, e.dst} == {a, b}]
-    if not mids:
-        raise DomainError(f"no edge joins {a!r} and {b!r}")
-    (mid_idx,) = mids
-    mid = ng.edges[mid_idx]
+    # keep the earlier slot so component discovery order is undisturbed
+    keep, drop = sorted((_slot(g, a), _slot(g, b)))
+    g, srcs = _directed(g)
+    edges = list(g.edges)
+    dsts = list(map(_dst, edges))
+    mid_idx = srcs.index(a)
+    if dsts[mid_idx] != b:
+        mid_idx = srcs.index(b)
+        if dsts[mid_idx] != a:
+            raise DomainError(f"no edge joins {a!r} and {b!r}")
+    mid = edges[mid_idx]
     p1, p2 = mid.src, mid.dst
-    (in_idx,) = [i for i, e in enumerate(ng.edges) if e.dst == p1]
-    (out_idx,) = [i for i, e in enumerate(ng.edges) if e.src == p2]
-    in_e = ng.edges[in_idx]
-    out_e = ng.edges[out_idx]
+    in_idx = dsts.index(p1)
+    out_idx = srcs.index(p2)
+    in_e = edges[in_idx]
+    out_e = edges[out_idx]
     if mid.label != lattice.add(in_e.label, out_e.label):
         raise NotBlowDownable((p1, p2))
-    # keep the earlier list slot so component discovery order is undisturbed
+    blow_down_inplace([in_e.label, mid.label, out_e.label], 1)
     p = min(p1, p2)
-    first = p1 if ng.vertices.index(p1) < ng.vertices.index(p2) else p2
-    vertices = [p if u == first else u
-                for u in ng.vertices if u in (first,) or u not in (p1, p2)]
-    edges = []
-    for i, e in enumerate(ng.edges):
-        if i == mid_idx:
-            continue
-        if i == in_idx:
-            edges.append(Edge(e.src, p, e.label))
-        elif i == out_idx:
-            edges.append(Edge(p, e.dst, e.label))
-        else:
-            edges.append(e)
-    return validate_graph(vertices, edges)
-
-
-_MINIMAL_BLOCKS = (
-    ((1, 0), (0, 1), (-1, 0), (0, -1)),
-    ((1, 0), (0, -1), (-1, 0), (0, 1)),
-)
-
-
-def _matches_minimal(labels):
-    for t in range(0, len(labels), 4):
-        if tuple(labels[t : t + 4]) not in _MINIMAL_BLOCKS:
-            return False
-    return True
+    vs = g.vertices
+    vertices = vs[:keep] + (p,) + vs[keep + 1 : drop] + vs[drop + 1 :]
+    edges[in_idx] = Edge(in_e.src, p, in_e.label)
+    edges[out_idx] = Edge(p, out_e.dst, out_e.label)
+    del edges[mid_idx]
+    return TorusGraph(vertices, tuple(edges))
 
 
 def is_minimal_graph(g: TorusGraph) -> bool:
-    """True iff every component cycle reads the literal unit label pattern.
-
-    Starting at some vertex of the normalized traversal, the labels must be
-    (1,0), (0,a), (-1,0), (0,-a) repeated, with a in {-1, +1} per block.
-    The check is against these literal coordinates, not a basis-change
-    orbit.
-    """
-    for cycle in _normalized_components(g):
-        labels = [oe.label for _, oe in cycle]
-        k = len(labels)
-        if k % 4 != 0:
-            return False
-        if not any(_matches_minimal(labels[r:] + labels[:r]) for r in range(k)):
-            return False
-    return True
+    """True iff every component reads as a minimal fan: all unit labels."""
+    return all(is_minimal_fan(f) for f in graph_to_family(g).fans)
 
 
 def is_connected(g: TorusGraph) -> bool:

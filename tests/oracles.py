@@ -19,7 +19,10 @@ from acx4.errors import (
     IndexOutOfRange,
     MoveInapplicable,
     NotBlowDownable,
+    UnknownVertex,
 )
+from acx4.lattice import add
+from acx4.torusgraph import normalized_components
 
 
 def angle_sum_winding(vectors):
@@ -190,6 +193,11 @@ def random_winding_fan(seed, winding, max_blowups=12):
 def scramble_graph(g, rng):
     """The same graph stored differently: renamed vertices, shuffled vertex
     and edge order, and random edges reversed with negated labels."""
+    return scramble_graph_with_names(g, rng)[0]
+
+
+def scramble_graph_with_names(g, rng):
+    """scramble_graph, also returning the renaming as a dict old -> new."""
     names = {v: f"w{i}_{rng.randrange(1000)}" for i, v in enumerate(g.vertices)}
     vertices = [names[v] for v in g.vertices]
     rng.shuffle(vertices)
@@ -200,7 +208,7 @@ def scramble_graph(g, rng):
         else:
             edges.append((names[e.src], names[e.dst], e.label))
     rng.shuffle(edges)
-    return acx4.validate_graph(vertices, edges)
+    return acx4.validate_graph(vertices, edges), names
 
 
 # --- reference implementations of the replaced rewrite paths ---------------
@@ -351,3 +359,116 @@ def reference_canonical_form(fan, mode=acx4.ROTATIONS):
         back = tuple((-x, -y) for x, y in reversed(vs))
         candidates.extend(back[i:] + back[:i] for i in range(len(back)))
     return acx4.MultiFan(min(candidates))
+
+
+# --- reference implementations of the replaced graph paths ------------------
+#
+# The library's graph rewrites normalize only an undirected input, edit the
+# vertex and edge tuples in place of the touched vertex and check the
+# touched determinants with the fan kernel.  The code below is what they
+# replaced: normalize the whole graph, rebuild both tuples by a scan, and
+# run the full validator on the result.  is_minimal_graph now reads the
+# fans; its reference matches the literal unit-label blocks at every
+# rotation of every normalized cycle.
+
+def _reference_fresh(base, used):
+    name = base
+    n = 2
+    while name in used:
+        name = f"{base}_{n}"
+        n += 1
+    used.add(name)
+    return name
+
+
+def reference_blow_up_graph(g, v):
+    Edge = acx4.Edge
+    if v not in g.vertices:
+        raise UnknownVertex(v)
+    ng = acx4.normalize_orientation(g)
+    (in_idx,) = [i for i, e in enumerate(ng.edges) if e.dst == v]
+    (out_idx,) = [i for i, e in enumerate(ng.edges) if e.src == v]
+    in_e = ng.edges[in_idx]
+    out_e = ng.edges[out_idx]
+    used = set(ng.vertices)
+    used.discard(v)
+    v1 = _reference_fresh(v + "'", used)
+    v2 = _reference_fresh(v + "''", used)
+    vertices = []
+    for u in ng.vertices:
+        if u == v:
+            vertices.extend((v1, v2))
+        else:
+            vertices.append(u)
+    middle = Edge(v1, v2, add(in_e.label, out_e.label))
+    edges = []
+    for i, e in enumerate(ng.edges):
+        if i == in_idx:
+            edges.append(Edge(e.src, v1, e.label))
+            edges.append(middle)
+        elif i == out_idx:
+            edges.append(Edge(v2, e.dst, e.label))
+        else:
+            edges.append(e)
+    return acx4.validate_graph(vertices, edges)
+
+
+def reference_blow_down_graph(g, edge):
+    Edge = acx4.Edge
+    if isinstance(edge, Edge):
+        a, b = edge.src, edge.dst
+    else:
+        a, b = edge
+    for u in (a, b):
+        if u not in g.vertices:
+            raise UnknownVertex(u)
+    ng = acx4.normalize_orientation(g)
+    mids = [i for i, e in enumerate(ng.edges) if {e.src, e.dst} == {a, b}]
+    if not mids:
+        raise DomainError(f"no edge joins {a!r} and {b!r}")
+    (mid_idx,) = mids
+    mid = ng.edges[mid_idx]
+    p1, p2 = mid.src, mid.dst
+    (in_idx,) = [i for i, e in enumerate(ng.edges) if e.dst == p1]
+    (out_idx,) = [i for i, e in enumerate(ng.edges) if e.src == p2]
+    in_e = ng.edges[in_idx]
+    out_e = ng.edges[out_idx]
+    if mid.label != add(in_e.label, out_e.label):
+        raise NotBlowDownable((p1, p2))
+    p = min(p1, p2)
+    first = p1 if ng.vertices.index(p1) < ng.vertices.index(p2) else p2
+    vertices = [p if u == first else u
+                for u in ng.vertices if u in (first,) or u not in (p1, p2)]
+    edges = []
+    for i, e in enumerate(ng.edges):
+        if i == mid_idx:
+            continue
+        if i == in_idx:
+            edges.append(Edge(e.src, p, e.label))
+        elif i == out_idx:
+            edges.append(Edge(p, e.dst, e.label))
+        else:
+            edges.append(e)
+    return acx4.validate_graph(vertices, edges)
+
+
+_MINIMAL_BLOCKS = (
+    ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    ((1, 0), (0, -1), (-1, 0), (0, 1)),
+)
+
+
+def reference_is_minimal_graph(g):
+    """Every normalized cycle reads (1,0), (0,a), (-1,0), (0,-a) repeated,
+    a in {-1, +1} per block, from some starting vertex."""
+    for cycle in normalized_components(g):
+        labels = [oe.label for _, oe in cycle]
+        k = len(labels)
+        if k % 4 != 0:
+            return False
+        if not any(
+            all(tuple(rot[t : t + 4]) in _MINIMAL_BLOCKS for t in range(0, k, 4))
+            for rot in (labels[r:] + labels[:r] for r in range(k))
+        ):
+            return False
+    return True

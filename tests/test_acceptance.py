@@ -213,7 +213,7 @@ def test_criterion_09_correspondence():
     canonical form for scrambled ones; blow-ups commute with the
     correspondence.
     """
-    from acx4.torusgraph import _normalized_components
+    from acx4.torusgraph import normalized_components
 
     rng = random.Random(0xC9)
     for _ in range(1000):
@@ -227,7 +227,7 @@ def test_criterion_09_correspondence():
         want = sorted(acx4.canonical_form(f, acx4.ROTATIONS_AND_REVERSAL).vectors
                       for f in fam.fans)
         assert key == want
-        cycles = _normalized_components(g)
+        cycles = normalized_components(g)
         c = rng.randrange(len(cycles))
         t = rng.randrange(len(cycles[c]))
         vertex = cycles[c][t][1].src

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import acx4
-from acx4.cli import cli_main
+from acx4.cli import build_parser, cli_main
 from acx4.serialize import document_for, emit_document, parse_document
 
 
@@ -41,6 +41,22 @@ def test_usage_error_exits_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2
     assert cli_main(["render", "--format", "gif", "x.json"]) == 2
+
+
+def test_reused_parser_answers_like_a_fresh_one(cp2_path, capsys):
+    # cli_main builds its parser once; earlier calls must leave no trace
+    calls = [["frobnicate"], [], ["render", "--format", "gif", "x.json"],
+             ["validate", cp2_path], ["minimize", "--log"], ["--help"],
+             ["validate", cp2_path]]
+    for argv in calls:
+        code = cli_main(argv)
+        got = capsys.readouterr()
+        try:
+            args = build_parser().parse_args(argv)
+            fresh = args.func(args)
+        except SystemExit as exc:
+            fresh = exc.code
+        assert (code, got) == (fresh, capsys.readouterr())
 
 
 def test_invariants_emits_report(cp2_path, capsys):

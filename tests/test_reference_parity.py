@@ -1,12 +1,14 @@
 """The fast rewrite paths against the slower code they replaced.
 
 tests/oracles.py keeps the whole-fan re-validating rewrites, the
-full-scan reduction engine with its sorted norm profile, and the
-all-rotations canonical form.  The local-check kernel, the block-indexed
-engine and Booth's canonical form must agree with them byte for byte, on
-outputs and on errors.
+full-scan reduction engine with its sorted norm profile, the
+all-rotations canonical form, and the graph rewrites that normalize and
+re-validate the whole graph.  The local-check kernel, the block-indexed
+engine, Booth's canonical form and the local graph rewrites must agree
+with them byte for byte, on outputs and on errors.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -202,3 +204,89 @@ def test_fan_rewrite_errors_match_reference():
             with pytest.raises(IndexOutOfRange) as exc:
                 acx4.blow_down_in_family(fam, j, 0)
             assert exc.value.index == j
+
+
+# --- graph rewrites --------------------------------------------------------------
+
+def assert_same_graph_rewrites(g):
+    """Every blow-up and blow-down a caller can ask of g, against the
+    reference; returns how many blow-downs succeeded."""
+    downs = 0
+    for v in g.vertices + ("zz",):
+        assert (outcome(acx4.blow_up_graph, g, v)
+                == outcome(oracles.reference_blow_up_graph, g, v))
+    edges = [x for e in g.edges for x in ((e.src, e.dst), (e.dst, e.src), e)]
+    far = next(u for u in g.vertices[2:]
+               if all({e.src, e.dst} != {g.vertices[0], u} for e in g.edges))
+    for x in edges + [(g.vertices[0], far), (g.vertices[0],) * 2]:
+        got = outcome(acx4.blow_down_graph, g, x)
+        assert got == outcome(oracles.reference_blow_down_graph, g, x)
+        downs += got[0] == "ok"
+    return downs
+
+
+def test_graph_rewrites_match_reference():
+    rng = random.Random(0x6A)
+    downs = 0
+    for _ in range(120):
+        fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                     rng.randint(0, 8), None)
+        directed = acx4.family_to_graph(fam)
+        downs += assert_same_graph_rewrites(directed)
+        downs += assert_same_graph_rewrites(oracles.scramble_graph(directed, rng))
+    assert downs > 200
+
+
+def graph_rewrite_chain(signs, rewrites, seed, blow_up, blow_down, scrambled=False):
+    """The benchmark's graph-rewrite job: seeded blow-ups, then blow-downs
+    of the created edges in reverse; yields every intermediate graph."""
+    rng = random.Random(seed)
+    g = acx4.family_to_graph(acx4.make_minimal_family(signs))
+    if scrambled:
+        g = oracles.scramble_graph(g, rng)
+    slots = []
+    for _ in range(rewrites):
+        i = rng.randrange(len(g.vertices))
+        g = blow_up(g, g.vertices[i])
+        slots.append(i)
+        yield g
+    for i in reversed(slots):
+        g = blow_down(g, (g.vertices[i], g.vertices[i + 1]))
+        yield g
+
+
+def test_graph_rewrite_chains_match_reference():
+    for signs, seed, scrambled in (([1], 1, False), ([1, -1], 2, False),
+                                   ([-1, 1, 1], 3, False), ([1, -1], 4, True)):
+        fast = graph_rewrite_chain(signs, 300, seed, acx4.blow_up_graph,
+                                   acx4.blow_down_graph, scrambled)
+        slow = graph_rewrite_chain(signs, 300, seed, oracles.reference_blow_up_graph,
+                                   oracles.reference_blow_down_graph, scrambled)
+        steps = 0
+        for g, ref in zip(fast, slow, strict=True):
+            assert g == ref
+            steps += 1
+        assert steps == 600
+        assert len(g.vertices) == 4 * len(signs)
+
+
+def test_graph_rewrites_check_touched_determinants():
+    # a directed graph is not re-validated, so a label broken behind the
+    # validator's back reaches the kernel, which must refuse it
+    g = acx4.family_to_graph(acx4.make_minimal_family([1]))
+    assert g.edges[0] == acx4.Edge("p1,1", "p1,2", (1, 0))
+    broken = acx4.TorusGraph(
+        g.vertices, (dataclasses.replace(g.edges[0], label=(2, 0)),) + g.edges[1:])
+    with pytest.raises(InternalInconsistency, match="blow-up"):
+        acx4.blow_up_graph(broken, "p1,2")
+    up = acx4.blow_up_graph(g, "p1,2")
+    assert up.edges[:3] == (acx4.Edge("p1,1", "p1,2'", (1, 0)),
+                            acx4.Edge("p1,2'", "p1,2''", (1, 1)),
+                            acx4.Edge("p1,2''", "p1,3", (0, 1)))
+    # w = w1 + w2 still holds, but det(w1, w2) = 2
+    broken = acx4.TorusGraph(
+        up.vertices,
+        (dataclasses.replace(up.edges[0], label=(2, 0)),
+         dataclasses.replace(up.edges[1], label=(2, 1))) + up.edges[2:])
+    with pytest.raises(InternalInconsistency, match="blow-down"):
+        acx4.blow_down_graph(broken, ("p1,2'", "p1,2''"))

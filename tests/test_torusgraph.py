@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracles
 import acx4
@@ -15,7 +17,7 @@ from acx4.errors import (
     WeightsNotBasis,
     ZeroLabel,
 )
-from acx4.torusgraph import _normalized_components
+from acx4.torusgraph import normalized_components
 
 CP2_VERTICES = ["p1", "p2", "p3"]
 CP2_EDGES = [("p1", "p2", (1, 0)), ("p2", "p3", (-1, 1)), ("p3", "p1", (0, -1))]
@@ -208,7 +210,7 @@ def test_rewrites_commute_with_correspondence():
         fam = acx4.gen_random_family(rng.randrange(1 << 30),
                                      rng.randint(1, 2), rng.randint(0, 6))
         g = oracles.scramble_graph(acx4.family_to_graph(fam), rng)
-        cycles = _normalized_components(g)
+        cycles = normalized_components(g)
         c = rng.randrange(len(cycles))
         t = rng.randrange(len(cycles[c]))
         vertex = cycles[c][t][1].src
@@ -231,17 +233,51 @@ def test_rewrites_commute_with_correspondence():
                 assert acx4.fans_equivalent(a, b)
 
 
+def cw_unit_cycle():
+    return acx4.validate_graph(
+        ["r1", "r2", "r3", "r4"],
+        [("r1", "r2", (1, 0)), ("r2", "r3", (0, -1)),
+         ("r3", "r4", (-1, 0)), ("r4", "r1", (0, 1))])
+
+
 def test_is_minimal_graph():
     assert acx4.is_minimal_graph(minimal_cycle())
     assert not acx4.is_minimal_graph(cp2_graph())
     assert not acx4.is_minimal_graph(sigma_graph(1))
     assert acx4.is_minimal_graph(sigma_graph(0))
     # clockwise unit cycle matches the pattern with a = -1
-    cw = acx4.validate_graph(
-        ["r1", "r2", "r3", "r4"],
-        [("r1", "r2", (1, 0)), ("r2", "r3", (0, -1)),
-         ("r3", "r4", (-1, 0)), ("r4", "r1", (0, 1))])
-    assert acx4.is_minimal_graph(cw)
+    assert acx4.is_minimal_graph(cw_unit_cycle())
+
+
+def test_is_minimal_graph_reads_the_fans():
+    """On validated graphs the literal unit-label pattern check, the fan
+    check and is_minimal_graph agree."""
+    rng = random.Random(0x3B)
+    fams = [acx4.make_minimal_family(signs)
+            for signs in ([1], [-1], [1, -1], [-1, -1, 1])]
+    for _ in range(60):
+        fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                     rng.randint(0, 8))
+        fams += [fam, acx4.reduce_to_minimal(fam)[0],
+                 acx4.family_union(fam, acx4.make_minimal_family([1]))]
+    for winding in (1, 2, 3):
+        for seed in range(8):
+            fan = oracles.random_winding_fan(seed, winding, max_blowups=6)
+            fam = acx4.MultiFanFamily((fan,))
+            fams += [fam, acx4.reduce_to_minimal(fam)[0]]
+    graphs = [minimal_cycle(), cp2_graph(), sigma_graph(0), sigma_graph(1),
+              cw_unit_cycle()]
+    for fam in fams:
+        g = acx4.family_to_graph(fam)
+        graphs += [g, oracles.scramble_graph(g, rng)]
+    seen = set()
+    for g in graphs:
+        expected = oracles.reference_is_minimal_graph(g)
+        assert expected == all(
+            acx4.is_minimal_fan(f) for f in acx4.graph_to_family(g).fans)
+        assert acx4.is_minimal_graph(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_connected():
@@ -269,3 +305,94 @@ def test_gkm_relations():
                                      rng.randint(1, 2), rng.randint(0, 5))
         g = acx4.family_to_graph(fam)
         assert len(acx4.gkm_relations(g)) == len(g.edges) >= 3
+
+
+class GraphAndFamily(RuleBasedStateMachine):
+    """Seeded blow-ups and blow-downs applied to a family and to its graph
+    together.
+
+    names[j][i] is the graph vertex between vectors i-1 and i of fan j,
+    the one whose weights are v[i] and -v[i-1]; it is kept by adjacency,
+    so it does not depend on which way the graph's cycles are directed.
+    """
+
+    @initialize(seed=st.integers(0, 2 ** 32), components=st.integers(1, 3),
+                blowups=st.integers(0, 6), scrambled=st.booleans())
+    def start(self, seed, components, blowups, scrambled):
+        self.fam = acx4.gen_random_family(seed, components, blowups)
+        g = acx4.family_to_graph(self.fam)
+        rename = {v: v for v in g.vertices}
+        # a scrambled graph may be read against the family's direction
+        self.mode = acx4.ROTATIONS
+        if scrambled:
+            g, rename = oracles.scramble_graph_with_names(g, random.Random(seed))
+            self.mode = acx4.ROTATIONS_AND_REVERSAL
+        self.graph = g
+        self.names = [[rename[f"p{j + 1},{i + 1}"] for i in range(len(fan))]
+                      for j, fan in enumerate(self.fam.fans)]
+
+    @rule(seed=st.integers(0, 2 ** 32))
+    def blow_up(self, seed):
+        rng = random.Random(seed)
+        j = rng.randrange(len(self.names))
+        names = self.names[j]
+        k = len(names)
+        i = rng.randrange(k)
+        old = set(self.graph.vertices)
+        self.graph = acx4.blow_up_graph(self.graph, names[i])
+        self.fam = acx4.blow_up_in_family(self.fam, j, (i - 1) % k)
+        new = [u for u in self.graph.vertices if u not in old]
+        assert len(new) == 2
+        # the new vertex next to names[i-1] comes first along the fan
+        first, second = sorted(new, key=lambda u: not self.joined(u, names[i - 1]))
+        if i:
+            names[i : i + 1] = [first, second]
+        else:
+            names[0] = second
+            names.append(first)
+
+    @rule(seed=st.integers(0, 2 ** 32))
+    def blow_down(self, seed):
+        spots = [(j, i) for j, fan in enumerate(self.fam.fans)
+                 for i, a in enumerate(acx4.self_intersections(fan)) if a == -1]
+        if not spots:
+            return
+        j, i = random.Random(seed).choice(spots)
+        names = self.names[j]
+        k = len(names)
+        ends = (names[i], names[(i + 1) % k])
+        self.graph = acx4.blow_down_graph(self.graph, ends)
+        self.fam = acx4.blow_down_in_family(self.fam, j, i)
+        if i + 1 < k:
+            names[i : i + 2] = [min(ends)]
+        else:
+            names[0] = min(ends)
+            names.pop()
+
+    def joined(self, u, w):
+        return any({e.src, e.dst} == {u, w} for e in self.graph.edges)
+
+    @invariant()
+    def graph_reads_as_the_family(self):
+        g = self.graph
+        assert acx4.validate_graph(g.vertices, g.edges) == g
+        slot = {v: t for t, v in enumerate(g.vertices)}
+        assert sorted(slot) == sorted(u for names in self.names for u in names)
+        for names, fan in zip(self.names, self.fam.fans):
+            vs = fan.vectors
+            for i, u in enumerate(names):
+                assert acx4.weights_at(g, u) == tuple(
+                    sorted([vs[i], (-vs[i - 1][0], -vs[i - 1][1])]))
+        # components are read in the order their vertices first appear
+        order = sorted(range(len(self.names)),
+                       key=lambda j: min(slot[u] for u in self.names[j]))
+        read = acx4.graph_to_family(g)
+        assert len(read.fans) == len(order)
+        for fan, j in zip(read.fans, order):
+            assert acx4.fans_equivalent(fan, self.fam.fans[j], self.mode)
+        assert acx4.chi_y_report(read) == acx4.chi_y_report(self.fam)
+
+
+TestGraphAndFamily = GraphAndFamily.TestCase
+TestGraphAndFamily.settings = settings(max_examples=60, stateful_step_count=25,
+                                       deadline=None)

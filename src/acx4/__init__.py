@@ -28,7 +28,6 @@ from .classify import (
 from .generate import gen_random_family
 from .invariants import (
     ChiYReport,
-    GenericDirection,
     chi_y_report,
     choose_generic_direction,
     fixed_point_count,

@@ -7,38 +7,38 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .classify import plumbing_description, recognize_four, recognize_three
 from .errors import DomainError
 from .generate import gen_random_family
 from .invariants import chi_y_report
-from .multifan import ROTATIONS, ROTATIONS_AND_REVERSAL, canonical_form
+from .multifan import (
+    ROTATIONS,
+    ROTATIONS_AND_REVERSAL,
+    blow_down_in_family,
+    blow_up_in_family,
+    canonical_form,
+)
 from .reduction import normalize_complex, reduce_to_minimal, replay
 from .render import render_fan_svg, render_graph_dot, render_graph_tikz
 from .serialize import (
     FORMAT_FAMILY,
     FORMAT_GRAPH,
     FORMAT_LOG,
-    _enc_vec,
-    _log_obj,
     document_for,
+    emit_classification,
     emit_document,
+    emit_normal_form,
     parse_document,
 )
 from .torusgraph import family_to_graph, graph_to_family
 
-_MODE_FLAGS = {"rotations": ROTATIONS, "full": ROTATIONS_AND_REVERSAL}
-
-
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
 
 def _load_document(path):
-    return parse_document(_read(path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_document(text)
 
 
 def _load_family(path):
@@ -90,17 +90,8 @@ def _cmd_invariants(args):
     return 0
 
 
-def _cmd_blowup(args):
-    from .multifan import blow_up_in_family
-
-    _emit(blow_up_in_family(_load_family_only(args.file), args.fan, args.pos))
-    return 0
-
-
-def _cmd_blowdown(args):
-    from .multifan import blow_down_in_family
-
-    _emit(blow_down_in_family(_load_family_only(args.file), args.fan, args.pos))
+def _cmd_rewrite(args):
+    _emit(args.rewrite(_load_family_only(args.file), args.fan, args.pos))
     return 0
 
 
@@ -117,54 +108,28 @@ def _cmd_normalize_complex(args):
     fam = _load_family(args.file)
     if len(fam.fans) != 1:
         raise DomainError("normalize-complex needs a single-fan family")
-    log, model = normalize_complex(fam.fans[0])
-    obj = {
-        "model": {"name": model.name, "a": model.a, "rotation": model.rotation},
-        "log": _log_obj(log),
-    }
-    print(json.dumps(obj, indent=2))
+    sys.stdout.write(emit_normal_form(*normalize_complex(fam.fans[0])))
     return 0
 
 
 def _cmd_classify(args):
-    fam = _load_family(args.file)
-    fans = []
-    for fan in fam.fans:
+    rows = []
+    for fan in _load_family(args.file).fans:
         k = len(fan.vectors)
         if k == 3:
-            v1, v2 = recognize_three(fan)
-            form = {"kind": "three", "v1": _enc_vec(v1), "v2": _enc_vec(v2)}
+            form = recognize_three(fan)
         elif k == 4:
-            four = recognize_four(fan)
-            form = {
-                "kind": "four",
-                "v1": _enc_vec(four.v1),
-                "v2": _enc_vec(four.v2),
-                "a": four.a,
-                "rotation": four.rotation,
-            }
+            form = recognize_four(fan)
         else:
-            form = {"kind": "large"}
-        fans.append({
-            "length": k,
-            "normal_form": form,
-            "plumbing": [
-                {
-                    "euler_number": piece.euler_number,
-                    "sphere_weights": [_enc_vec(w) for w in piece.sphere_weights],
-                }
-                for piece in plumbing_description(fan)
-            ],
-        })
-    print(json.dumps({"fans": fans}, indent=2))
+            form = None
+        rows.append((fan, form, plumbing_description(fan)))
+    sys.stdout.write(emit_classification(rows))
     return 0
 
 
 def _cmd_equiv(args):
-    mode = _MODE_FLAGS[args.mode]
-
     def key(fam):
-        return sorted(canonical_form(f, mode).vectors for f in fam.fans)
+        return sorted(canonical_form(f, args.mode).vectors for f in fam.fans)
 
     same = key(_load_family(args.a)) == key(_load_family(args.b))
     print("true" if same else "false")
@@ -221,17 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("blowup", help="insert the sum of an adjacent vector pair")
-    p.add_argument("--fan", type=int, required=True)
-    p.add_argument("--pos", type=int, required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_blowup)
-
-    p = sub.add_parser("blowdown", help="delete a vector equal to its neighbor sum")
-    p.add_argument("--fan", type=int, required=True)
-    p.add_argument("--pos", type=int, required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_blowdown)
+    for name, rewrite, about in (
+            ("blowup", blow_up_in_family, "insert the sum of an adjacent vector pair"),
+            ("blowdown", blow_down_in_family,
+             "delete a vector equal to its neighbor sum")):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--fan", type=int, required=True)
+        p.add_argument("--pos", type=int, required=True)
+        p.add_argument("file")
+        p.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
 
     p = sub.add_parser("minimize", help="reduce a family to unit vectors")
     p.add_argument("--log", help="also write the replayable move log here")
@@ -251,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two families up to rotation")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--mode", choices=tuple(_MODE_FLAGS), default="rotations")
+    p.add_argument("--mode", choices=(ROTATIONS, ROTATIONS_AND_REVERSAL),
+                   default=ROTATIONS)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("render", help="draw a document as svg, dot, or tikz")
@@ -288,10 +252,7 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,34 +18,26 @@ from .lattice import Vec
 from .multifan import MultiFanFamily, winding_number
 
 
-@dataclass(frozen=True)
-class GenericDirection:
-    """A direction pairing nonzero with every vector of some family."""
-
-    xi: Vec
-
-
-def choose_generic_direction(fam: MultiFanFamily) -> GenericDirection:
+def choose_generic_direction(fam: MultiFanFamily) -> Vec:
     """Deterministic scan over (1, N), N = 1, 2, ...: the first N that
     clears every vector of the family."""
     vectors = [v for fan in fam.fans for v in fan.vectors]
-    return GenericDirection(lattice.generic_direction(vectors))
+    return lattice.generic_direction(vectors)
 
 
-def kosniowski_counts(fam: MultiFanFamily, xi: GenericDirection) -> tuple[int, int, int]:
+def kosniowski_counts(fam: MultiFanFamily, xi: Vec) -> tuple[int, int, int]:
     """Histogram (a0, a1, a2) of fixed points by their number of weights on
     the negative side of xi.  The result is independent of the generic
     direction; the total is the fixed-point count."""
-    direction = xi.xi
     counts = [0, 0, 0]
     for fan in fam.fans:
         vs = fan.vectors
         for i in range(len(vs)):
-            s1 = lattice.dot(vs[i], direction)
-            s2 = -lattice.dot(vs[i - 1], direction)
+            s1 = lattice.dot(vs[i], xi)
+            s2 = -lattice.dot(vs[i - 1], xi)
             if s1 == 0 or s2 == 0:
                 raise PreconditionViolated(
-                    f"direction {direction} is orthogonal to a weight")
+                    f"direction {xi} is orthogonal to a weight")
             counts[(s1 < 0) + (s2 < 0)] += 1
     return tuple(counts)
 

@@ -15,9 +15,22 @@ deterministic):
 
 Integers within the 53-bit double-safe range serialize as JSON numbers and
 as decimal strings beyond it, losslessly either way.  Unknown extra fields
-are ignored on input.  Parsed payloads are fully validated: families and
-graphs go through their validators and a log's moves must replay from its
-initial family to its final one.
+are ignored on input, and an integer the interpreter will not convert
+(past its int/str digit limit) is a ParseError.  Parsed payloads are fully
+validated: families and graphs go through their validators and a log's
+moves must replay from its initial family to its final one.
+
+Two summaries are text only, with no format tag and no parser:
+
+  classification  {"fans": [{"length": 4, "normal_form": {"kind": "four",
+                     "v1": [1, 0], "v2": [0, 1], "a": 1, "rotation": 0},
+                     "plumbing": [{"euler_number": 0,
+                                   "sphere_weights": [[1, 0], [0, 1]]}, ...]}, ...]}
+                  (kind "three" has v1 and v2 only, kind "large" no field)
+  normal form     {"model": {"name": ..., "a": 1, "rotation": 0}, "log": <log>}
+
+Their vectors follow the integer rule above; "a" and "euler_number" print as
+JSON numbers at any size.
 """
 
 from __future__ import annotations
@@ -25,10 +38,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .classify import HirzebruchForm
 from .errors import MoveInapplicable, ParseError, UnknownFormat
 from .invariants import ChiYReport
 from .multifan import MultiFan, MultiFanFamily, validate_family
-from .reduction import BLOW_DOWN, BLOW_UP, Move, MoveLog, replay
+from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, Move, MoveLog, replay
 from .torusgraph import TorusGraph, validate_graph
 
 FORMAT_FAMILY = "acx4-fans/1"
@@ -49,16 +63,11 @@ class Document:
 
 def document_for(payload) -> Document:
     """Wrap a payload value in the document kind that carries it."""
-    if isinstance(payload, MultiFanFamily):
-        return Document(FORMAT_FAMILY, payload)
     if isinstance(payload, MultiFan):
-        return Document(FORMAT_FAMILY, MultiFanFamily((payload,)))
-    if isinstance(payload, TorusGraph):
-        return Document(FORMAT_GRAPH, payload)
-    if isinstance(payload, MoveLog):
-        return Document(FORMAT_LOG, payload)
-    if isinstance(payload, ChiYReport):
-        return Document(FORMAT_REPORT, payload)
+        payload = MultiFanFamily((payload,))
+    for tag, (kind, _, _) in _FORMATS.items():
+        if isinstance(payload, kind):
+            return Document(tag, payload)
     raise TypeError(f"no document format for {type(payload).__name__}")
 
 
@@ -84,7 +93,11 @@ def _int_from(obj, path) -> int:
     if isinstance(obj, str):
         body = obj[1:] if obj.startswith("-") else obj
         if body.isdigit():
-            return int(obj)
+            try:
+                return int(obj)
+            except ValueError as exc:
+                # isdigit() also accepts digits int() refuses, such as "²"
+                raise ParseError(path, f"unreadable integer: {exc}") from None
     raise ParseError(path, f"expected an integer, got {obj!r}")
 
 
@@ -210,18 +223,13 @@ def parse_document(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past the int/str digit limit
+        raise ParseError("$", f"unreadable number: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("$", "top level must be an object")
     tag = _need(data, "format", "")
-    if tag == FORMAT_FAMILY:
-        return Document(tag, _family_from(data, ""))
-    if tag == FORMAT_GRAPH:
-        return Document(tag, _graph_from(data, ""))
-    if tag == FORMAT_LOG:
-        return Document(tag, _log_from(data, ""))
-    if tag == FORMAT_REPORT:
-        return Document(tag, _report_from(data, ""))
-    raise UnknownFormat(tag)
+    _, decode, _ = _codec(tag)
+    return Document(tag, decode(data, ""))
 
 
 # --- encoding ----------------------------------------------------------------
@@ -276,16 +284,59 @@ def _report_obj(report: ChiYReport):
     }
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def emit_document(doc: Document) -> str:
     """Deterministic text form of a document; parse(emit(d)) == d."""
-    if doc.format == FORMAT_FAMILY:
-        obj = _family_obj(doc.payload)
-    elif doc.format == FORMAT_GRAPH:
-        obj = _graph_obj(doc.payload)
-    elif doc.format == FORMAT_LOG:
-        obj = _log_obj(doc.payload)
-    elif doc.format == FORMAT_REPORT:
-        obj = _report_obj(doc.payload)
-    else:
-        raise UnknownFormat(doc.format)
-    return json.dumps(obj, indent=2) + "\n"
+    _, _, encode = _codec(doc.format)
+    return _dumps(encode(doc.payload))
+
+
+# tag -> (payload type, decoder, encoder)
+_FORMATS = {
+    FORMAT_FAMILY: (MultiFanFamily, _family_from, _family_obj),
+    FORMAT_GRAPH: (TorusGraph, _graph_from, _graph_obj),
+    FORMAT_LOG: (MoveLog, _log_from, _log_obj),
+    FORMAT_REPORT: (ChiYReport, _report_from, _report_obj),
+}
+
+
+def _codec(tag):
+    # a tag that is not a string, even an unhashable one, is unknown too
+    if isinstance(tag, str) and tag in _FORMATS:
+        return _FORMATS[tag]
+    raise UnknownFormat(tag)
+
+
+# --- summaries ---------------------------------------------------------------
+
+def _normal_form_obj(form):
+    if form is None:
+        return {"kind": "large"}
+    if isinstance(form, HirzebruchForm):
+        return {"kind": "four", "v1": _enc_vec(form.v1), "v2": _enc_vec(form.v2),
+                "a": form.a, "rotation": form.rotation}
+    return {"kind": "three", "v1": _enc_vec(form[0]), "v2": _enc_vec(form[1])}
+
+
+def emit_classification(rows) -> str:
+    """Text of the classification summary, from one (fan, normal form,
+    plumbing pieces) row per fan; the normal form is recognize_three's
+    pair, recognize_four's HirzebruchForm, or None for any other length."""
+    return _dumps({"fans": [
+        {"length": len(fan.vectors),
+         "normal_form": _normal_form_obj(form),
+         "plumbing": [{"euler_number": piece.euler_number,
+                       "sphere_weights": [_enc_vec(w) for w in piece.sphere_weights]}
+                      for piece in plumbing]}
+        for fan, form, plumbing in rows
+    ]})
+
+
+def emit_normal_form(log: MoveLog, model: ComplexModel) -> str:
+    """Text of the normal-form summary: the model a winding-one fan
+    reduces to and the log of the moves that reach it."""
+    model_obj = {"name": model.name, "a": model.a, "rotation": model.rotation}
+    return _dumps({"model": model_obj, "log": _log_obj(log)})

@@ -36,11 +36,9 @@ from .errors import (
     OrientationFlip,
     RecurrenceFails,
     SelfLoop,
-    TooShort,
     UnknownVertex,
     WeightsNotBasis,
     ZeroLabel,
-    ZeroVector,
 )
 from .lattice import Vec
 from .multifan import (
@@ -205,8 +203,6 @@ def validate_graph(vertices, edges) -> TorusGraph:
             k = len(cycle)
             triple = tuple(cycle[(exc.index + t) % k][1] for t in (-2, -1, 0))
             raise RecurrenceFails(triple) from None
-        except (TooShort, ZeroVector) as exc:  # pragma: no cover
-            raise DomainError(f"component traversal failed: {exc}") from exc
     return g
 
 

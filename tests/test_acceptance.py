@@ -172,7 +172,7 @@ def test_criterion_07_count_laws():
         signs = [rng.choice((1, -1)) for _ in range(components)]
         fam = acx4.gen_random_family(rng.randrange(1 << 30), components,
                                      rng.randint(0, 12), signs)
-        counts = {acx4.kosniowski_counts(fam, acx4.GenericDirection(xi))
+        counts = {acx4.kosniowski_counts(fam, xi)
                   for xi in oracles.five_directions(fam)}
         assert len(counts) == 1
         (a0, a1, a2), = counts

@@ -32,6 +32,16 @@ def test_validate_bad_document(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coord", ["9" * 5001, '"' + "9" * 5001 + '"', '"\u00b2"'],
+                         ids=["long-number", "long-string", "superscript"])
+def test_validate_unreadable_integer(coord, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": "acx4-fans/1", "fans": [{"vectors": '
+                   f'[[1, 0], [{coord}, 1], [0, -1]]}}]}}')
+    assert cli_main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_is_domain_exit(capsys):
     assert cli_main(["validate", "/definitely/not/here.json"]) == 1
     assert capsys.readouterr().err
@@ -176,6 +186,111 @@ def test_classify_output(cp2_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["fans"][0]["normal_form"]["kind"] == "three"
     assert [p["euler_number"] for p in obj["fans"][0]["plumbing"]] == [1, 1, 1]
+
+
+def _fan_obj(vectors):
+    return {"vectors": [list(v) for v in vectors]}
+
+
+def _pieces(*pairs):
+    return [{"euler_number": e, "sphere_weights": [list(w1), list(w2)]}
+            for e, w1, w2 in pairs]
+
+
+_CP2_PIECES = _pieces((1, (1, 0), (0, 1)), (1, (-1, 1), (-1, 0)),
+                      (1, (0, -1), (1, -1)))
+_BIG = 10**20
+
+# (family, the JSON value `classify` prints for it); compared as text, so key
+# order, raw versus string-encoded integers and the trailing newline are all
+# pinned
+CLASSIFY_CASES = {
+    "cp2": (
+        [acx4.make_cp2_fan((1, 0), (-1, 1))],
+        {"fans": [{"length": 3,
+                   "normal_form": {"kind": "three", "v1": [1, 0], "v2": [-1, 1]},
+                   "plumbing": _CP2_PIECES}]},
+    ),
+    "hirzebruch-1e20": (
+        [acx4.make_hirzebruch_fan((1, 0), (0, 1), _BIG)],
+        # a and euler_number print raw past 2**53; vectors print as strings
+        {"fans": [{"length": 4,
+                   "normal_form": {"kind": "four", "v1": [1, 0], "v2": [0, 1],
+                                   "a": _BIG, "rotation": 0},
+                   "plumbing": _pieces(
+                       (0, (1, 0), (0, 1)), (-_BIG, (0, 1), (-1, 0)),
+                       (0, (-1, str(_BIG)), (0, -1)),
+                       (_BIG, (0, -1), (1, str(-_BIG))))}]},
+    ),
+    "large": (
+        [acx4.validate_multifan([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)])],
+        {"fans": [{"length": 5, "normal_form": {"kind": "large"},
+                   "plumbing": _pieces(
+                       (0, (1, 0), (0, 1)), (-1, (0, 1), (-1, 0)),
+                       (-1, (-1, 1), (0, -1)), (-1, (-1, 0), (1, -1)),
+                       (0, (0, -1), (1, 0)))}]},
+    ),
+    "two-fans": (
+        [acx4.make_cp2_fan((1, 0), (-1, 1)),
+         acx4.make_hirzebruch_fan((1, 0), (0, 1), 1)],
+        {"fans": [{"length": 3,
+                   "normal_form": {"kind": "three", "v1": [1, 0], "v2": [-1, 1]},
+                   "plumbing": _CP2_PIECES},
+                  {"length": 4,
+                   "normal_form": {"kind": "four", "v1": [1, 0], "v2": [0, 1],
+                                   "a": 1, "rotation": 0},
+                   "plumbing": _pieces(
+                       (0, (1, 0), (0, 1)), (-1, (0, 1), (-1, 0)),
+                       (0, (-1, 1), (0, -1)), (1, (0, -1), (1, -1)))}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_CASES))
+def test_classify_exact_text(case, tmp_path, capsys):
+    fans, expected = CLASSIFY_CASES[case]
+    path = write_family(tmp_path, "f.json", acx4.MultiFanFamily(tuple(fans)))
+    assert cli_main(["classify", path]) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+_UNIT_MODEL_FINAL = {"format": "acx4-fans/1",
+                     "fans": [_fan_obj([(1, 0), (0, 1), (-1, 0), (0, -1)])]}
+
+
+def _move(kind, position, vector):
+    return {"kind": kind, "fan": 0, "position": position, "vector": list(vector)}
+
+
+# (winding-one fan, the moves `normalize-complex` logs for it)
+NORMALIZE_CASES = {
+    "cp2": (
+        [(1, 0), (-1, 1), (0, -1)],
+        [_move("blow_up", 0, (0, 1)), _move("blow_up", 2, (-1, 0)),
+         _move("blow_down", 2, (-1, 1))],
+    ),
+    "seven": (
+        [(1, 0), (0, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1), (1, -1)],
+        [_move("blow_down", 4, (-1, -2)), _move("blow_down", 3, (-1, -1)),
+         _move("blow_down", 4, (1, -1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMALIZE_CASES))
+def test_normalize_complex_exact_text(case, tmp_path, capsys):
+    vectors, moves = NORMALIZE_CASES[case]
+    fam = acx4.MultiFanFamily((acx4.validate_multifan(vectors),))
+    path = write_family(tmp_path, "f.json", fam)
+    assert cli_main(["normalize-complex", path]) == 0
+    expected = {
+        "model": {"name": "CP1 x CP1", "a": 1, "rotation": 0},
+        "log": {"format": "acx4-log/1",
+                "initial": {"format": "acx4-fans/1", "fans": [_fan_obj(vectors)]},
+                "moves": moves,
+                "final": _UNIT_MODEL_FINAL},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_blowup_requires_family_document(cp2_path, tmp_path, capsys):

@@ -25,6 +25,17 @@ def cp2_family():
     return acx4.MultiFanFamily((acx4.make_cp2_fan((1, 0), (-1, 1)),))
 
 
+def test_document_for_each_payload_kind():
+    fam = cp2_family()
+    assert document_for(fam.fans[0]) == Document(FORMAT_FAMILY, fam)
+    kinds = {document_for(payload).format for payload in (
+        fam, acx4.family_to_graph(fam), acx4.reduce_to_minimal(fam)[1],
+        acx4.chi_y_report(fam))}
+    assert kinds == {FORMAT_FAMILY, FORMAT_GRAPH, FORMAT_LOG, FORMAT_REPORT}
+    with pytest.raises(TypeError):
+        document_for((1, 0))
+
+
 def test_family_document_round_trip():
     doc = parse_document(CP2_DOC)
     assert doc.format == FORMAT_FAMILY
@@ -137,3 +148,28 @@ def test_random_documents_round_trip():
         else:
             doc = document_for(acx4.chi_y_report(fam))
         assert parse_document(emit_document(doc)) == doc
+
+
+@pytest.mark.parametrize("tag", ["[]", "{}", "1", "null", '"acx4-fans/9"'])
+def test_malformed_format_tags_are_unknown(tag):
+    with pytest.raises(UnknownFormat):
+        parse_document(f'{{"format": {tag}, "fans": []}}')
+    with pytest.raises(UnknownFormat):
+        emit_document(Document(json.loads(tag), cp2_family()))
+
+
+LONG = "9" * 5001  # past the interpreter's default int/str digit limit
+
+
+@pytest.mark.parametrize("coord, path", [
+    (LONG, "$"),
+    (f'"{LONG}"', "fans[0].vectors[1][0]"),
+    (f'"-{LONG}"', "fans[0].vectors[1][0]"),
+    ('"²"', "fans[0].vectors[1][0]"),
+], ids=["long-number", "long-string", "long-negative-string", "superscript"])
+def test_unreadable_integers_are_parse_errors(coord, path):
+    text = ('{"format": "acx4-fans/1", "fans": [{"vectors": '
+            f'[[1, 0], [{coord}, 1], [0, -1]]}}]}}')
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert exc.value.path == path

@@ -82,7 +82,6 @@ from .serialize import (
 )
 from .torusgraph import (
     Edge,
-    GkmRelation,
     TorusGraph,
     blow_down_graph,
     blow_up_graph,

@@ -85,19 +85,6 @@ def recognize_three(fan: MultiFan) -> tuple[Vec, Vec]:
     return v1, v2
 
 
-def _integer_ratio(u: Vec, v: Vec):
-    # the integer a with u == a*v, or None; v is nonzero
-    if v[0] != 0:
-        a, rem = divmod(u[0], v[0])
-        if rem == 0 and a * v[1] == u[1]:
-            return a
-        return None
-    if u[0] != 0:
-        return None
-    a, rem = divmod(u[1], v[1])
-    return a if rem == 0 else None
-
-
 def recognize_four(fan: MultiFan) -> HirzebruchForm:
     """Rotate a 4-vector fan into {v1, v2, -v1 + a*v2, -v2}.
 
@@ -109,11 +96,11 @@ def recognize_four(fan: MultiFan) -> HirzebruchForm:
         raise PreconditionViolated("recognize_four needs a 4-vector fan")
     vs = fan.vectors
     for rotation in range(4):
-        w = [vs[(rotation + t) % 4] for t in range(4)]
-        if w[3] == lattice.neg(w[1]):
-            a = _integer_ratio(lattice.add(w[2], w[0]), w[1])
-            if a is not None:
-                return HirzebruchForm(w[0], w[1], a, rotation)
+        v2 = vs[(rotation + 1) % 4]
+        if vs[(rotation + 3) % 4] == lattice.neg(v2):
+            # the recurrence gives -v1 + a*v2 = -s*v2 - v1, s the number at v2
+            a = -self_intersections(fan)[(rotation + 1) % 4]
+            return HirzebruchForm(vs[rotation], v2, a, rotation)
     raise InternalInconsistency("no rotation matches the 4-point normal form")
 
 

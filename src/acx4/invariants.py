@@ -70,6 +70,12 @@ class ChiYReport:
     c1_sq: int
     c2: int
 
+    @classmethod
+    def from_counts(cls, a0: int, a1: int, a2: int) -> ChiYReport:
+        """The report the count triple determines."""
+        return cls(a0, a1, a2, euler=a0 + a1 + a2, todd=a0,
+                   signature=a0 - a1 + a2, c1_sq=10 * a0 - a1, c2=2 * a0 + a1)
+
 
 def chi_y_report(fam: MultiFanFamily) -> ChiYReport:
     """Assemble the full invariant bundle of a family.
@@ -85,13 +91,4 @@ def chi_y_report(fam: MultiFanFamily) -> ChiYReport:
         raise InternalInconsistency(f"count asymmetry: a0={a0} != a2={a2}")
     if a0 != t:
         raise InternalInconsistency(f"winding sum {t} != leading count {a0}")
-    return ChiYReport(
-        a0=a0,
-        a1=a1,
-        a2=a2,
-        euler=a0 + a1 + a2,
-        todd=a0,
-        signature=a0 - a1 + a2,
-        c1_sq=10 * a0 - a1,
-        c2=2 * a0 + a1,
-    )
+    return ChiYReport.from_counts(a0, a1, a2)

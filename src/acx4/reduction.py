@@ -200,6 +200,9 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
         return [Move(BLOW_DOWN, j, i, w)]
+    # insert before w, which moves one place right unless the pair wraps
+    pair = (i - 1) % k
+    w_pos = i + 1 if i else 0
     if a == 0:
         if lattice.reduction_choice(w1, w) == -1:
             # insert w - w1 after w; w keeps its index
@@ -207,15 +210,11 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
                 Move(BLOW_UP, j, i, lattice.sub(w, w1)),
                 Move(BLOW_DOWN, j, i, w),
             ]
-        pair = (i - 1) % k
-        w_pos = i + 1 if pair + 1 <= i else i
         return [
             Move(BLOW_UP, j, pair, lattice.add(w, w1)),
             Move(BLOW_DOWN, j, w_pos, w),
         ]
     # a == +1: w1 + w == -w2 and w + w2 == -w1
-    pair = (i - 1) % k
-    w_pos = i + 1 if pair + 1 <= i else i
     return [
         Move(BLOW_UP, j, pair, lattice.neg(w2)),
         Move(BLOW_UP, j, w_pos, lattice.neg(w1)),
@@ -295,9 +294,10 @@ def normalize_complex(fan: MultiFan) -> tuple[MoveLog, ComplexModel]:
     if len(final.vectors) != 4:
         raise InternalInconsistency(
             f"winding-one reduction ended with {len(final.vectors)} vectors")
-    for a in (1, -1):
-        pattern = ((1, 0), (0, a), (-1, 0), (0, -a))
-        for rotation in range(4):
-            if all(final.vectors[(rotation + t_) % 4] == pattern[t_] for t_ in range(4)):
-                return log, ComplexModel("CP1 x CP1", a, rotation)
-    raise InternalInconsistency("minimal 4-fan does not match the unit pattern")
+    vs = final.vectors
+    # det((0, -a), (1, 0)) = a: the orientation is the sign of the pattern
+    a = orientation(final)
+    rotation = vs.index((1, 0)) if (1, 0) in vs else 0
+    if vs[rotation:] + vs[:rotation] != ((1, 0), (0, a), (-1, 0), (0, -a)):
+        raise InternalInconsistency("minimal 4-fan does not match the unit pattern")
+    return log, ComplexModel("CP1 x CP1", a, rotation)

@@ -16,9 +16,10 @@ deterministic):
 Integers within the 53-bit double-safe range serialize as JSON numbers and
 as decimal strings beyond it, losslessly either way.  Unknown extra fields
 are ignored on input, and an integer the interpreter will not convert
-(past its int/str digit limit) is a ParseError.  Parsed payloads are fully
-validated: families and graphs go through their validators and a log's
-moves must replay from its initial family to its final one.
+(past its int/str digit limit) is a ParseError; an emitter asked to print
+one raises DomainError.  Parsed payloads are fully validated: families
+and graphs go through their validators and a log's moves must replay from
+its initial family to its final one.
 
 Two summaries are text only, with no format tag and no parser:
 
@@ -36,10 +37,11 @@ JSON numbers at any size.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .classify import HirzebruchForm
-from .errors import MoveInapplicable, ParseError, UnknownFormat
+from .errors import DomainError, MoveInapplicable, ParseError, UnknownFormat
 from .invariants import ChiYReport
 from .multifan import MultiFan, MultiFanFamily, validate_family
 from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, Move, MoveLog, replay
@@ -200,21 +202,16 @@ def _report_from(data, path) -> ChiYReport:
         raise ParseError(_join(path, "a"), "counts must be nonnegative")
     if a0 != a2:
         raise ParseError(_join(path, "a"), "first and last counts must agree")
-    fields = {}
-    for key in ("euler", "todd", "signature", "c1_sq", "c2"):
-        fields[key] = _int_from(_need(data, key, path), _join(path, key))
-    expected = {
-        "euler": a0 + a1 + a2,
-        "todd": a0,
-        "signature": a0 - a1 + a2,
-        "c1_sq": 10 * a0 - a1,
-        "c2": 2 * a0 + a1,
-    }
-    for key, want in expected.items():
-        if fields[key] != want:
+    keys = ("euler", "todd", "signature", "c1_sq", "c2")
+    # every field is read before any is compared: missing beats inconsistent
+    fields = [_int_from(_need(data, key, path), _join(path, key)) for key in keys]
+    report = ChiYReport.from_counts(a0, a1, a2)
+    for key, got in zip(keys, fields):
+        want = getattr(report, key)
+        if got != want:
             raise ParseError(_join(path, key),
                              f"inconsistent with the counts: expected {want}")
-    return ChiYReport(a0=a0, a1=a1, a2=a2, **fields)
+    return report
 
 
 def parse_document(text: str) -> Document:
@@ -225,6 +222,8 @@ def parse_document(text: str) -> Document:
         raise ParseError("$", f"not valid JSON: {exc}") from exc
     except ValueError as exc:  # a number past the int/str digit limit
         raise ParseError("$", f"unreadable number: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("$", f"nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("$", "top level must be an object")
     tag = _need(data, "format", "")
@@ -284,14 +283,18 @@ def _report_obj(report: ChiYReport):
     }
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _dumps(build) -> str:
+    try:  # str() in _enc_int and json.dumps raise ValueError past the digit limit
+        return json.dumps(build(), indent=2) + "\n"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"an integer exceeds the int/str limit of {limit} digits") from None
 
 
 def emit_document(doc: Document) -> str:
     """Deterministic text form of a document; parse(emit(d)) == d."""
     _, _, encode = _codec(doc.format)
-    return _dumps(encode(doc.payload))
+    return _dumps(lambda: encode(doc.payload))
 
 
 # tag -> (payload type, decoder, encoder)
@@ -325,7 +328,7 @@ def emit_classification(rows) -> str:
     """Text of the classification summary, from one (fan, normal form,
     plumbing pieces) row per fan; the normal form is recognize_three's
     pair, recognize_four's HirzebruchForm, or None for any other length."""
-    return _dumps({"fans": [
+    return _dumps(lambda: {"fans": [
         {"length": len(fan.vectors),
          "normal_form": _normal_form_obj(form),
          "plumbing": [{"euler_number": piece.euler_number,
@@ -339,4 +342,4 @@ def emit_normal_form(log: MoveLog, model: ComplexModel) -> str:
     """Text of the normal-form summary: the model a winding-one fan
     reduces to and the log of the moves that reach it."""
     model_obj = {"name": model.name, "a": model.a, "rotation": model.rotation}
-    return _dumps({"model": model_obj, "log": _log_obj(log)})
+    return _dumps(lambda: {"model": model_obj, "log": _log_obj(log)})

@@ -63,16 +63,6 @@ class TorusGraph:
     edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class GkmRelation:
-    """Per-edge congruence: classes at source and target differ by a
-    multiple of the generator."""
-
-    source: str
-    target: str
-    generator: Vec
-
-
 def _as_edge(item, index) -> Edge:
     if isinstance(item, Edge):
         src, dst, label = item.src, item.dst, item.label
@@ -124,9 +114,13 @@ def normalized_components(g: TorusGraph):
     vertex's outgoing edge when it has one (the earlier-stored edge on a
     tie), so an already consistent cycle is reproduced verbatim; edges
     walked against their stored direction appear reversed with negated
-    labels.
+    labels.  A vertex meeting other than two edge ends (in a graph that
+    skipped validate_graph) raises NotTwoRegular, so every walk closes.
     """
     inc = _incidences(g)
+    for v, slots in inc.items():
+        if len(slots) != 2:
+            raise NotTwoRegular(v, len(slots))
     visited = set()
     cycles = []
     for seed in g.vertices:
@@ -183,14 +177,8 @@ def validate_graph(vertices, edges) -> TorusGraph:
         if pair in seen_pairs:
             raise MultiEdge(e.src, e.dst)
         seen_pairs.add(pair)
-    degree = dict.fromkeys(verts, 0)
-    for e in es:
-        degree[e.src] += 1
-        degree[e.dst] += 1
-    for v in verts:
-        if degree[v] != 2:
-            raise NotTwoRegular(v, degree[v])
 
+    # normalized_components raises NotTwoRegular for a vertex of another degree
     g = TorusGraph(verts, es)
     for cycle in normalized_components(g):
         labels = [oe.label for _, oe in cycle]
@@ -377,6 +365,7 @@ def is_connected(g: TorusGraph) -> bool:
     return len(_component_vertices(g, inc, g.vertices[0])) == len(g.vertices)
 
 
-def gkm_relations(g: TorusGraph) -> list[GkmRelation]:
-    """One relation per stored edge: (source, target, label)."""
-    return [GkmRelation(e.src, e.dst, e.label) for e in g.edges]
+def gkm_relations(g: TorusGraph) -> list[Edge]:
+    """One relation per stored edge: the classes at src and dst differ by
+    a multiple of the label."""
+    return list(g.edges)

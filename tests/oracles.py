@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's algorithms: winding
 numbers come from a floating-point angle sum, admissibility from literally
 solving the recurrence, and basis pairs from an extended-gcd line
 parametrization.  Agreement between the package and these oracles is the
-evidence the tests rely on.  The last section is different: it keeps the
-slower rewrite, reduction and canonical-form code that the library's fast
-paths replaced, built on the full validator, as the reference those paths
-must match exactly.
+evidence the tests rely on.  The last sections are different: they keep
+the slower rewrite, reduction and canonical-form code that the library's
+fast paths replaced, built on the full validator, and the normal-form
+readers that the library's direct readings replaced, as the reference
+those paths must match exactly.
 """
 
 import math
@@ -17,11 +18,14 @@ import acx4
 from acx4.errors import (
     DomainError,
     IndexOutOfRange,
+    InternalInconsistency,
     MoveInapplicable,
     NotBlowDownable,
+    NotToddOne,
+    PreconditionViolated,
     UnknownVertex,
 )
-from acx4.lattice import add
+from acx4.lattice import add, neg
 from acx4.torusgraph import normalized_components
 
 
@@ -472,3 +476,54 @@ def reference_is_minimal_graph(g):
         ):
             return False
     return True
+
+
+# --- reference implementations of the replaced normal-form readers ----------
+#
+# recognize_four reads a off the fan's self-intersection numbers and
+# normalize_complex reads the unit model's sign from the fan orientation and
+# its rotation from the position of (1, 0).  The code below is what they
+# replaced: a by integer division of w[2] + w[0] by w[1], and a scan of both
+# signs times all four rotations of the unit pattern.
+
+def _reference_integer_ratio(u, v):
+    # the integer a with u == a*v, or None; v is nonzero
+    if v[0] != 0:
+        a, rem = divmod(u[0], v[0])
+        if rem == 0 and a * v[1] == u[1]:
+            return a
+        return None
+    if u[0] != 0:
+        return None
+    a, rem = divmod(u[1], v[1])
+    return a if rem == 0 else None
+
+
+def reference_recognize_four(fan):
+    if len(fan.vectors) != 4:
+        raise PreconditionViolated("recognize_four needs a 4-vector fan")
+    vs = fan.vectors
+    for rotation in range(4):
+        w = [vs[(rotation + t) % 4] for t in range(4)]
+        if w[3] == neg(w[1]):
+            a = _reference_integer_ratio(add(w[2], w[0]), w[1])
+            if a is not None:
+                return acx4.HirzebruchForm(w[0], w[1], a, rotation)
+    raise InternalInconsistency("no rotation matches the 4-point normal form")
+
+
+def reference_normalize_complex(fan):
+    t = acx4.winding_number(fan)
+    if t != 1:
+        raise NotToddOne(t)
+    final_family, log = acx4.reduce_to_minimal(acx4.MultiFanFamily((fan,)))
+    (final,) = final_family.fans
+    if len(final.vectors) != 4:
+        raise InternalInconsistency(
+            f"winding-one reduction ended with {len(final.vectors)} vectors")
+    for a in (1, -1):
+        pattern = ((1, 0), (0, a), (-1, 0), (0, -a))
+        for rotation in range(4):
+            if all(final.vectors[(rotation + t_) % 4] == pattern[t_] for t_ in range(4)):
+                return log, acx4.ComplexModel("CP1 x CP1", a, rotation)
+    raise InternalInconsistency("minimal 4-fan does not match the unit pattern")

@@ -108,6 +108,15 @@ def test_recognize_four_exhaustive_small_box():
     assert count > 100
 
 
+def test_recognize_four_matches_reference_on_the_5_box():
+    count = 0
+    for fan_vectors in oracles.enumerate_admissible_fans(4, 5):
+        fan = acx4.validate_multifan(fan_vectors)
+        assert acx4.recognize_four(fan) == oracles.reference_recognize_four(fan)
+        count += 1
+    assert count > 6000
+
+
 def test_make_cp2_fan():
     assert acx4.make_cp2_fan((1, 0), (-1, 1)).vectors == ((1, 0), (-1, 1), (0, -1))
     assert acx4.make_cp2_fan((1, 0), (0, 1)).vectors == ((1, 0), (0, 1), (-1, -1))

@@ -42,6 +42,26 @@ def test_validate_unreadable_integer(coord, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_validate_deep_nesting(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"format": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli_main(["validate", str(deep)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_blowup_past_the_output_digit_limit(tmp_path, capsys):
+    # the input prints, but the blow-up adds a digit to it
+    big = tmp_path / "big.json"
+    big.write_text('{"format": "acx4-fans/1", "fans": [{"vectors": '
+                   '[[1, 0], [0, 1], [-1, "' + "9" * 4300 + '"], [0, -1]]}]}')
+    assert cli_main(["validate", str(big)]) == 0
+    capsys.readouterr()
+    assert cli_main(["blowup", "--fan", "0", "--pos", "1", str(big)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_missing_file_is_domain_exit(capsys):
     assert cli_main(["validate", "/definitely/not/here.json"]) == 1
     assert capsys.readouterr().err

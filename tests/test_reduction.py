@@ -114,6 +114,25 @@ def test_normalize_complex_random_winding_one():
         assert acx4.is_minimal_fan(log.final.fans[0])
 
 
+def test_normalize_complex_matches_reference_on_the_5_box():
+    for fan_vectors in oracles.enumerate_admissible_fans(4, 5):
+        fan = acx4.validate_multifan(fan_vectors)
+        assert acx4.normalize_complex(fan) == oracles.reference_normalize_complex(fan)
+
+
+def test_normalize_complex_matches_reference_on_criterion_10_fans():
+    # the draws of criterion 10, keeping its winding-one fans
+    rng = random.Random(0xCA)
+    count = 0
+    for _ in range(1000):
+        winding = rng.randint(1, 3)
+        fan = oracles.random_winding_fan(rng.randrange(1 << 30), winding)
+        if winding == 1:
+            assert acx4.normalize_complex(fan) == oracles.reference_normalize_complex(fan)
+            count += 1
+    assert count > 250
+
+
 def test_norm_profile_decreases_per_iteration_groups():
     # regroup a log into its per-iteration scripts and re-check the metric
     rng = random.Random(8765)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,9 @@ from acx4.serialize import (
     FORMAT_REPORT,
     Document,
     document_for,
+    emit_classification,
     emit_document,
+    emit_normal_form,
     parse_document,
 )
 
@@ -133,6 +136,34 @@ def test_report_document_rejects_inconsistent_fields():
         parse_document(json.dumps(obj))
 
 
+def cp2_report_obj():
+    return json.loads(emit_document(document_for(acx4.chi_y_report(cp2_family()))))
+
+
+@pytest.mark.parametrize("key, want", [
+    ("euler", 3), ("todd", 1), ("signature", 1), ("c1_sq", 9), ("c2", 3)])
+def test_report_document_names_the_inconsistent_field(key, want):
+    obj = cp2_report_obj()
+    obj[key] += 1
+    with pytest.raises(ParseError) as exc:
+        parse_document(json.dumps(obj))
+    assert exc.value.path == key
+    assert str(exc.value) == f"{key}: inconsistent with the counts: expected {want}"
+
+
+def test_report_document_reads_every_field_before_comparing():
+    obj = cp2_report_obj()
+    obj["euler"] += 1
+    obj["c2"] += 1
+    with pytest.raises(ParseError) as exc:
+        parse_document(json.dumps(obj))
+    assert exc.value.path == "euler"
+    del obj["c2"]
+    with pytest.raises(ParseError) as exc:
+        parse_document(json.dumps(obj))
+    assert str(exc.value) == "c2: missing field"
+
+
 def test_random_documents_round_trip():
     rng = random.Random(2718)
     for _ in range(1000):
@@ -173,3 +204,28 @@ def test_unreadable_integers_are_parse_errors(coord, path):
     with pytest.raises(ParseError) as exc:
         parse_document(text)
     assert exc.value.path == path
+
+
+DEEP = '{"format": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_document(DEEP)
+    assert exc.value.path == "$"
+
+
+def test_emitters_refuse_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    fan = acx4.make_hirzebruch_fan((1, 0), (0, 1), 10 ** limit)
+    fam = acx4.MultiFanFamily((fan,))
+    emits = [
+        lambda: emit_document(document_for(fam)),
+        lambda: emit_classification([(fan, acx4.recognize_four(fan),
+                                      acx4.plumbing_description(fan))]),
+        lambda: emit_normal_form(acx4.MoveLog(fam, (), fam),
+                                 acx4.ComplexModel("CP1 x CP1", 1, 0)),
+    ]
+    for emit in emits:
+        with pytest.raises(DomainError, match=str(limit)):
+            emit()

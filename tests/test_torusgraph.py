@@ -17,7 +17,7 @@ from acx4.errors import (
     WeightsNotBasis,
     ZeroLabel,
 )
-from acx4.torusgraph import normalized_components
+from acx4.torusgraph import Edge, TorusGraph, normalized_components
 
 CP2_VERTICES = ["p1", "p2", "p3"]
 CP2_EDGES = [("p1", "p2", (1, 0)), ("p2", "p3", (-1, 1)), ("p3", "p1", (0, -1))]
@@ -296,8 +296,8 @@ def test_is_connected():
 def test_gkm_relations():
     rels = acx4.gkm_relations(cp2_graph())
     assert len(rels) == 3
-    assert {r.generator for r in rels} == {(1, 0), (-1, 1), (0, -1)}
-    assert rels[0].source == "p1" and rels[0].target == "p2"
+    assert {r.label for r in rels} == {(1, 0), (-1, 1), (0, -1)}
+    assert rels[0].src == "p1" and rels[0].dst == "p2"
     assert len(acx4.gkm_relations(sigma_graph(2))) == 4
     rng = random.Random(13)
     for _ in range(30):
@@ -305,6 +305,32 @@ def test_gkm_relations():
                                      rng.randint(1, 2), rng.randint(0, 5))
         g = acx4.family_to_graph(fam)
         assert len(acx4.gkm_relations(g)) == len(g.edges) >= 3
+
+
+def unvalidated_graph(vertices, pairs):
+    return TorusGraph(tuple(vertices),
+                      tuple(Edge(s, d, (1, 0)) for s, d in pairs))
+
+
+# graphs that never went through validate_graph, with a vertex of degree 3,
+# 1 or 0, and that vertex: the cycle walk must stop with an error, not loop
+# or crash
+BAD_DEGREE_GRAPHS = {
+    "degree-3": (unvalidated_graph(
+        "abcde", [("b", "c"), ("a", "b"), ("c", "d"), ("d", "b"), ("e", "a")]), "b"),
+    "degree-1": (unvalidated_graph("abc", [("a", "b"), ("b", "c")]), "a"),
+    "degree-0": (unvalidated_graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")]), "d"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DEGREE_GRAPHS))
+def test_cycle_walk_rejects_a_vertex_not_of_degree_two(name):
+    g, vertex = BAD_DEGREE_GRAPHS[name]
+    for reader in (acx4.graph_to_family, acx4.normalize_orientation,
+                   acx4.render_graph_tikz):
+        with pytest.raises(NotTwoRegular) as exc:
+            reader(g)
+        assert (exc.value.vertex, exc.value.degree) == (vertex, int(name[-1]))
 
 
 class GraphAndFamily(RuleBasedStateMachine):

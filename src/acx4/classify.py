@@ -106,15 +106,11 @@ def recognize_four(fan: MultiFan) -> HirzebruchForm:
 
 def make_cp2_fan(v1: Vec, v2: Vec) -> MultiFan:
     """The 3-point fan {v1, v2, -v1-v2} of a linear projective-plane action."""
-    v1 = (v1[0], v1[1])
-    v2 = (v2[0], v2[1])
     return validate_multifan([v1, v2, lattice.neg(lattice.add(v1, v2))])
 
 
 def make_hirzebruch_fan(v1: Vec, v2: Vec, n: int) -> MultiFan:
     """The 4-point fan {v1, v2, -v1 + n*v2, -v2}; n = 0 gives the unit fan."""
-    v1 = (v1[0], v1[1])
-    v2 = (v2[0], v2[1])
     third = (-v1[0] + n * v2[0], -v1[1] + n * v2[1])
     return validate_multifan([v1, v2, third, lattice.neg(v2)])
 

@@ -244,29 +244,24 @@ def winding_number(fan: MultiFan, xi: Vec | None = None) -> int:
 def _least_rotation(vs):
     """The lexicographically least rotation of a sequence, in O(k).
 
-    Booth's algorithm (Booth, IPL 1980): a Knuth-Morris-Pratt failure
-    function over the doubled sequence, restarted whenever a smaller
-    candidate start k appears.  On a periodic sequence any least start
-    gives the same rotation.
+    The two-pointer scan (Shiloach, J. Algorithms 1981): candidate starts
+    i < j agree for m places; at the first difference the losing start and
+    the m after it cannot be least, so i + j + m only grows.  On a periodic
+    sequence the scan stops at m == k, where any least start gives the same
+    rotation.
     """
+    k = len(vs)
     s = vs + vs
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:
-            # here i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, m = 0, 1, 0
+    while j < k and m < k:
+        a, b = s[i + m], s[j + m]
+        if a == b:
+            m += 1
+        elif a < b:
+            j, m = j + m + 1, 0
         else:
-            fail[j - k] = i + 1
-    return vs[k:] + vs[:k]
+            i, j, m = j, max(i + m + 1, j + 1), 0
+    return vs[i:] + vs[:i]
 
 
 def canonical_form(fan: MultiFan, mode: str = ROTATIONS) -> MultiFan:

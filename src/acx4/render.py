@@ -7,7 +7,6 @@ float formatting, fixed iteration order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .multifan import MultiFanFamily
 from .torusgraph import TorusGraph, normalized_components
@@ -17,7 +16,8 @@ def render_fan_svg(fam: MultiFanFamily) -> str:
     """One origin-anchored arrow per vector of every fan, plus an axis cross.
 
     The lattice is scaled so the largest coordinate sits a fixed margin
-    inside a 480x480 canvas.  Scaling goes through exact ratios, so
+    inside a 480x480 canvas.  Each coordinate is divided by the span
+    before it is scaled, int by int, which CPython rounds correctly, so
     coordinates beyond float range still render.
     """
     vectors = [v for fan in fam.fans for v in fan.vectors]
@@ -28,10 +28,10 @@ def render_fan_svg(fam: MultiFanFamily) -> str:
     half = size / 2
 
     def px(x):
-        return f"{half + extent * float(Fraction(x, span)):.2f}"
+        return f"{half + extent * (x / span):.2f}"
 
     def py(y):
-        return f"{half - extent * float(Fraction(y, span)):.2f}"
+        return f"{half - extent * (y / span):.2f}"
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

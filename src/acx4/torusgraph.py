@@ -46,6 +46,7 @@ from .multifan import (
     blow_down_inplace,
     blow_up_inplace,
     is_minimal_fan,
+    validate_family,
     validate_multifan,
 )
 
@@ -86,9 +87,12 @@ def _as_edge(item, index) -> Edge:
 def _incidences(g: TorusGraph):
     # vertex -> [(edge index, outgoing?)], two entries per vertex once validated
     inc = {v: [] for v in g.vertices}
-    for idx, e in enumerate(g.edges):
-        inc[e.src].append((idx, True))
-        inc[e.dst].append((idx, False))
+    try:
+        for idx, e in enumerate(g.edges):
+            inc[e.src].append((idx, True))
+            inc[e.dst].append((idx, False))
+    except KeyError as exc:  # an edge end outside the vertices (unvalidated)
+        raise UnknownVertex(exc.args[0]) from None
     return inc
 
 
@@ -223,11 +227,8 @@ def normalize_orientation(g: TorusGraph) -> TorusGraph:
 
 def graph_to_family(g: TorusGraph) -> MultiFanFamily:
     """One fan per component: the normalized traversal labels in order."""
-    fans = tuple(
-        validate_multifan([oe.label for _, oe in cycle])
-        for cycle in normalized_components(g)
-    )
-    return MultiFanFamily(fans)
+    return validate_family(
+        [oe.label for _, oe in cycle] for cycle in normalized_components(g))
 
 
 def family_to_graph(fam: MultiFanFamily) -> TorusGraph:
@@ -244,13 +245,12 @@ def family_to_graph(fam: MultiFanFamily) -> TorusGraph:
     return TorusGraph(tuple(vertices), tuple(edges))
 
 
-def _fresh(base, used):
+def _fresh(base, taken):
     name = base
     n = 2
-    while name in used:
+    while name in taken:
         name = f"{base}_{n}"
         n += 1
-    used.add(name)
     return name
 
 
@@ -298,10 +298,9 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     in_e = edges[in_idx]
     out_e = edges[out_idx]
     middle = blow_up_inplace([in_e.label, out_e.label], 0)
-    used = set(g.vertices)
-    used.discard(v)
-    v1 = _fresh(v + "'", used)
-    v2 = _fresh(v + "''", used)
+    # candidates are longer than v, and no v'... name equals a v''... name
+    v1 = _fresh(v + "'", g.vertices)
+    v2 = _fresh(v + "''", g.vertices)
     vertices = g.vertices[:slot] + (v1, v2) + g.vertices[slot + 1 :]
     edges[in_idx] = Edge(in_e.src, v1, in_e.label)
     edges[out_idx] = Edge(v2, out_e.dst, out_e.label)
@@ -359,10 +358,7 @@ def is_minimal_graph(g: TorusGraph) -> bool:
 
 
 def is_connected(g: TorusGraph) -> bool:
-    if not g.vertices:
-        return True
-    inc = _incidences(g)
-    return len(_component_vertices(g, inc, g.vertices[0])) == len(g.vertices)
+    return len(normalized_components(g)) <= 1
 
 
 def gkm_relations(g: TorusGraph) -> list[Edge]:

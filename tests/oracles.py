@@ -6,13 +6,15 @@ solving the recurrence, and basis pairs from an extended-gcd line
 parametrization.  Agreement between the package and these oracles is the
 evidence the tests rely on.  The last sections are different: they keep
 the slower rewrite, reduction and canonical-form code that the library's
-fast paths replaced, built on the full validator, and the normal-form
-readers that the library's direct readings replaced, as the reference
-those paths must match exactly.
+fast paths replaced, built on the full validator, the normal-form
+readers that the library's direct readings replaced, the cycle walk as
+its docstring states it, and the exact-ratio SVG scaling, as the
+reference those paths must match exactly.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import acx4
 from acx4.errors import (
@@ -220,7 +222,7 @@ def scramble_graph_with_names(g, rng):
 # The library's rewrites check only the determinants they touch, its
 # reduction engine finds the longest vector through cached block maxima and
 # checks each step by the Dershowitz-Manna multiset rule, and canonical_form
-# runs Booth's least-rotation algorithm.  What follows is the slower code
+# runs the two-pointer least-rotation scan.  What follows is the slower code
 # they replaced: every rewrite re-validates the whole fan, the engine scans
 # the whole family for the longest vector and re-sorts the full norm profile
 # after every iteration, and canonical_form builds every rotation.  The
@@ -527,3 +529,115 @@ def reference_normalize_complex(fan):
             if all(final.vectors[(rotation + t_) % 4] == pattern[t_] for t_ in range(4)):
                 return log, acx4.ComplexModel("CP1 x CP1", a, rotation)
     raise InternalInconsistency("minimal 4-fan does not match the unit pattern")
+
+
+# --- the cycle walk, from its docstring --------------------------------------
+#
+# normalized_components finds components through an incidence map and a
+# stack.  The walk below is written from its docstring alone: components in
+# first-appearance order of their vertices, each walked from its least
+# vertex id along that vertex's outgoing edge when it has one (the
+# earlier-stored edge on a tie), and each edge walked against its stored
+# direction reversed with a negated label.  Every lookup is a scan.
+
+def _reference_component(g, seed):
+    component = {seed}
+    grown = True
+    while grown:
+        grown = False
+        for e in g.edges:
+            if (e.src in component) != (e.dst in component):
+                component |= {e.src, e.dst}
+                grown = True
+    return component
+
+
+def reference_normalized_components(g):
+    Edge = acx4.Edge
+    cycles = []
+    walked = set()
+    for seed in g.vertices:
+        if seed in walked:
+            continue
+        component = _reference_component(g, seed)
+        walked |= component
+        start = min(component)
+        at_start = [i for i, e in enumerate(g.edges) if start in (e.src, e.dst)]
+        leaving = [i for i in at_start if g.edges[i].src == start]
+        idx = (leaving or at_start)[0]
+        cur = start
+        cycle = []
+        while True:
+            e = g.edges[idx]
+            if e.src == cur:
+                cycle.append((idx, e))
+                cur = e.dst
+            else:
+                cycle.append((idx, Edge(cur, e.src, neg(e.label))))
+                cur = e.src
+            if cur == start:
+                break
+            (idx,) = [i for i, f in enumerate(g.edges)
+                      if i != idx and cur in (f.src, f.dst)]
+        cycles.append(cycle)
+    return cycles
+
+
+def reference_normalize_orientation(g):
+    edges = list(g.edges)
+    for cycle in reference_normalized_components(g):
+        for idx, oriented in cycle:
+            edges[idx] = oriented
+    return acx4.TorusGraph(g.vertices, tuple(edges))
+
+
+def reference_graph_to_family(g):
+    return acx4.MultiFanFamily(tuple(
+        acx4.MultiFan(tuple(oriented.label for _, oriented in cycle))
+        for cycle in reference_normalized_components(g)))
+
+
+# --- the replaced SVG scaling -------------------------------------------------
+#
+# render_fan_svg divides each int coordinate by the int span as floats.  The
+# code below is what it replaced: the same picture, scaled through the exact
+# ratio Fraction(x, span) and only then rounded to a float.
+
+def reference_render_fan_svg(fam):
+    vectors = [v for fan in fam.fans for v in fan.vectors]
+    span = max(max(abs(x), abs(y)) for x, y in vectors)
+    size = 480
+    margin = 48
+    extent = size / 2 - margin
+    half = size / 2
+
+    def px(x):
+        return f"{half + extent * float(Fraction(x, span)):.2f}"
+
+    def py(y):
+        return f"{half - extent * float(Fraction(y, span)):.2f}"
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        "  <defs>",
+        '    <marker id="tip" markerWidth="8" markerHeight="8" refX="6" refY="3" '
+        'orient="auto">',
+        '      <path d="M0,0 L6,3 L0,6 z"/>',
+        "    </marker>",
+        "  </defs>",
+        f'  <line class="axis" x1="0" y1="{py(0)}" x2="{size}" y2="{py(0)}" '
+        'stroke="#bbbbbb"/>',
+        f'  <line class="axis" x1="{px(0)}" y1="0" x2="{px(0)}" y2="{size}" '
+        'stroke="#bbbbbb"/>',
+    ]
+    for fan in fam.fans:
+        for x, y in fan.vectors:
+            lines.append(
+                f'  <line class="arrow" x1="{px(0)}" y1="{py(0)}" '
+                f'x2="{px(x)}" y2="{py(y)}" stroke="#000000" '
+                'marker-end="url(#tip)"/>')
+            lines.append(
+                f'  <text x="{px(x)}" y="{py(y)}" font-size="12">({x},{y})</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import acx4
-from acx4.errors import NonPositiveInput, NotABasis, NotRealizable, PreconditionViolated
+from acx4.errors import DomainError, NonPositiveInput, NotABasis, NotRealizable, PreconditionViolated
 
 CP2 = acx4.make_cp2_fan((1, 0), (-1, 1))
 
@@ -131,6 +131,15 @@ def test_make_hirzebruch_fan():
     assert sigma(0) == minimal
     with pytest.raises(NotABasis):
         acx4.make_hirzebruch_fan((1, 0), (3, 0), 1)
+
+
+def test_constructors_take_lists_and_refuse_longer_vectors():
+    assert acx4.make_cp2_fan([1, 0], [0, 1]) == acx4.make_cp2_fan((1, 0), (0, 1))
+    assert acx4.make_hirzebruch_fan([1, 0], [0, 1], 2) == sigma(2)
+    with pytest.raises(DomainError, match="vector at index 0 is not a pair"):
+        acx4.make_cp2_fan((1, 0, 7), (0, 1))
+    with pytest.raises(DomainError, match="vector at index 0 is not a pair"):
+        acx4.make_hirzebruch_fan((1, 0, 9), (0, 1), 2)
 
 
 def test_make_minimal_family():

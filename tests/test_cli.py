@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 import acx4
 from acx4.cli import build_parser, cli_main
 from acx4.serialize import document_for, emit_document, parse_document
@@ -347,3 +348,37 @@ def test_cli_survives_fuzzed_documents(tmp_path, capsys):
         assert code in (0, 1, 2)
         if code != 0:
             assert captured.err
+
+
+def test_commands_refuse_the_wrong_document_kind(tmp_path, capsys):
+    fam = acx4.gen_random_family(3, 2, 4)
+    log = write_family(tmp_path, "log.json", acx4.reduce_to_minimal(fam)[1])
+    report = write_family(tmp_path, "report.json", acx4.chi_y_report(fam))
+    two = write_family(tmp_path, "two.json", fam)
+    cases = [
+        (["invariants", log],
+         f"error: {log}: expected a family or graph document, got acx4-log/1"),
+        (["convert", "--to", "graph", report],
+         f"error: {report}: expected a family or graph document, got acx4-report/1"),
+        (["normalize-complex", two],
+         "error: normalize-complex needs a single-fan family"),
+        (["generate", "--seed", "1", "--signs", "1,x"],
+         "error: --signs must be a comma list of +1/-1, got '1,x'"),
+        (["replay", "--log", two, two],
+         f"error: {two}: expected a move-log document, got acx4-fans/1"),
+    ]
+    for argv, line in cases:
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+
+def test_render_graph_document(tmp_path, capsys):
+    g = oracles.scramble_graph(acx4.family_to_graph(acx4.gen_random_family(3, 2, 4)),
+                               random.Random(3))
+    path = write_family(tmp_path, "graph.json", g)
+    assert cli_main(["render", "--format", "dot", path]) == 0
+    assert capsys.readouterr().out == acx4.render_graph_dot(g)
+    assert cli_main(["render", "--format", "tikz", path]) == 0
+    assert capsys.readouterr().out == acx4.render_graph_tikz(g)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -79,6 +80,11 @@ def test_validate_rejects_bool_entries():
 
     fan = acx4.validate_multifan([(Coordinate(1), 0), (0, 1), (-1, 0), (0, -1)])
     assert fan.vectors == tuple(MINIMAL)
+
+
+def test_validate_rejects_vectors_that_are_not_pairs():
+    with pytest.raises(DomainError, match="vector at index 2 is not a pair"):
+        acx4.validate_multifan([(1, 0), (0, 1), (-1, 0, 5), (0, -1)])
 
 
 def test_orientation():
@@ -233,6 +239,17 @@ def test_canonical_form_examples():
         assert canon.vectors in [tuple(MINIMAL[i:] + MINIMAL[:i]) for i in range(4)]
     with pytest.raises(DomainError):
         acx4.canonical_form(minimal, "sideways")
+
+
+def test_canonical_form_matches_reference_on_every_short_word():
+    # unvalidated words over two and three letters hit every pattern of ties
+    for letters, longest in ((((1, 0), (0, 1)), 10), (((1, 0), (0, 1), (1, 1)), 6)):
+        for k in range(1, longest + 1):
+            for word in itertools.product(letters, repeat=k):
+                fan = acx4.MultiFan(word)
+                for mode in (acx4.ROTATIONS, acx4.ROTATIONS_AND_REVERSAL):
+                    assert acx4.canonical_form(fan, mode) == \
+                        oracles.reference_canonical_form(fan, mode)
 
 
 def test_fans_equivalent():

@@ -1,3 +1,6 @@
+import random
+
+import oracles
 import acx4
 
 
@@ -47,3 +50,14 @@ def test_fan_svg_handles_coordinates_beyond_float_range():
     svg = acx4.render_fan_svg(fam)
     assert svg.count('class="arrow"') == 4
     assert acx4.render_fan_svg(fam) == svg
+
+
+def test_fan_svg_matches_the_exact_ratio_scaling():
+    rng = random.Random(5)
+    fams = [acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                   rng.randint(0, 60)) for _ in range(200)]
+    fams += [acx4.validate_family([[(1, 0), (0, 1), (-1, n), (0, -1)],
+                                   [(1, 0), (n - 1, 1), (-n, -1)]])
+             for n in (10 ** 20, 10 ** 300, 10 ** 400, 10 ** 1000)]
+    for fam in fams:
+        assert acx4.render_fan_svg(fam) == oracles.reference_render_fan_svg(fam)

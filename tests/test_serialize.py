@@ -229,3 +229,28 @@ def test_emitters_refuse_integers_past_the_digit_limit():
     for emit in emits:
         with pytest.raises(DomainError, match=str(limit)):
             emit()
+
+
+FAN_DOC = '{"format": "acx4-fans/1", "fans": %s}'
+REPORT_DOC = ('{"format": "acx4-report/1", "a": %s, "euler": 3, "todd": 1, '
+              '"signature": 1, "c1_sq": 9, "c2": 3}')
+
+
+@pytest.mark.parametrize("text, path, message", [
+    (FAN_DOC % "[5]", "fans[0]", "expected an object"),
+    (FAN_DOC % '[{"vectors": [[true, 0], [0, 1], [-1, -1]]}]',
+     "fans[0].vectors[0][0]", "expected an integer"),
+    (FAN_DOC % '[{"vectors": [[1, 0], [0, 1.5], [-1, -1]]}]',
+     "fans[0].vectors[1][1]", "expected an integer, got 1.5"),
+    (FAN_DOC % "{}", "fans", "expected an array"),
+    ('{"format": "acx4-graph/1", "vertices": ["p1", 2, "p3"], "edges": []}',
+     "vertices[1]", "expected a string, got 2"),
+    (REPORT_DOC % "[1, 1]", "a", "expected exactly 3 counts"),
+    (REPORT_DOC % "[-1, 5, -1]", "a", "counts must be nonnegative"),
+], ids=["fan-not-object", "true-coordinate", "float-coordinate", "fans-object",
+        "vertex-not-string", "two-counts", "negative-counts"])
+def test_malformed_fields_name_their_path(text, path, message):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: {message}"

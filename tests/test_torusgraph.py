@@ -90,6 +90,13 @@ def test_validate_rejects_bool_labels():
                                 [("p1", "p2", label)] + CP2_EDGES[1:])
 
 
+def test_validate_rejects_malformed_edges():
+    with pytest.raises(DomainError, match="edge at index 1 is not a triple"):
+        acx4.validate_graph(CP2_VERTICES, [CP2_EDGES[0], ("p2", "p3")] + CP2_EDGES[2:])
+    with pytest.raises(DomainError, match="edge at index 2: label is not a pair"):
+        acx4.validate_graph(CP2_VERTICES, CP2_EDGES[:2] + [("p3", "p1", (0, -1, 0))])
+
+
 def test_weights_at_golden():
     g = cp2_graph()
     assert acx4.weights_at(g, "p2") == ((-1, 0), (-1, 1))
@@ -313,24 +320,61 @@ def unvalidated_graph(vertices, pairs):
 
 
 # graphs that never went through validate_graph, with a vertex of degree 3,
-# 1 or 0, and that vertex: the cycle walk must stop with an error, not loop
-# or crash
+# 1 or 0, or an edge to a vertex that is not there, and the error each must
+# raise: the cycle walk must stop with it, not loop or crash
 BAD_DEGREE_GRAPHS = {
     "degree-3": (unvalidated_graph(
-        "abcde", [("b", "c"), ("a", "b"), ("c", "d"), ("d", "b"), ("e", "a")]), "b"),
-    "degree-1": (unvalidated_graph("abc", [("a", "b"), ("b", "c")]), "a"),
-    "degree-0": (unvalidated_graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")]), "d"),
+        "abcde", [("b", "c"), ("a", "b"), ("c", "d"), ("d", "b"), ("e", "a")]),
+        NotTwoRegular("b", 3)),
+    "degree-1": (unvalidated_graph("abc", [("a", "b"), ("b", "c")]),
+                 NotTwoRegular("a", 1)),
+    "degree-0": (unvalidated_graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")]),
+                 NotTwoRegular("d", 0)),
+    "dangling-edge": (unvalidated_graph("abc", [("a", "b"), ("b", "c"), ("c", "z")]),
+                      UnknownVertex("z")),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_DEGREE_GRAPHS))
 def test_cycle_walk_rejects_a_vertex_not_of_degree_two(name):
-    g, vertex = BAD_DEGREE_GRAPHS[name]
+    g, want = BAD_DEGREE_GRAPHS[name]
     for reader in (acx4.graph_to_family, acx4.normalize_orientation,
-                   acx4.render_graph_tikz):
-        with pytest.raises(NotTwoRegular) as exc:
+                   acx4.render_graph_tikz, acx4.is_connected):
+        with pytest.raises(type(want)) as exc:
             reader(g)
-        assert (exc.value.vertex, exc.value.degree) == (vertex, int(name[-1]))
+        assert (str(exc.value), vars(exc.value)) == (str(want), vars(want))
+
+
+def test_empty_graph_reads_as_no_family():
+    empty = TorusGraph((), ())
+    with pytest.raises(DomainError, match="at least one fan"):
+        acx4.graph_to_family(empty)
+    assert acx4.is_connected(empty)
+
+
+def test_cycle_walk_matches_its_docstring():
+    # directed graphs, two scrambled copies of each, and one of those copies
+    # after blow-ups
+    rng = random.Random(23)
+    for _ in range(300):
+        fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                     rng.randint(0, 8))
+        g = acx4.family_to_graph(fam)
+        scrambled, _ = oracles.scramble_graph_with_names(g, rng)
+        graphs = [g, oracles.scramble_graph(g, rng), scrambled]
+        for _ in range(rng.randint(1, 3)):
+            scrambled = acx4.blow_up_graph(scrambled, rng.choice(scrambled.vertices))
+        for g in graphs + [scrambled]:
+            assert normalized_components(g) == oracles.reference_normalized_components(g)
+            assert acx4.normalize_orientation(g) == oracles.reference_normalize_orientation(g)
+            assert acx4.graph_to_family(g) == oracles.reference_graph_to_family(g)
+
+
+def test_blow_up_graph_skips_taken_names():
+    g = acx4.family_to_graph(acx4.make_minimal_family([1]))
+    g = acx4.blow_up_graph(acx4.blow_up_graph(g, "p1,1"), "p1,1'")
+    assert g.vertices == ("p1,1''_2", "p1,1'''", "p1,1''", "p1,2", "p1,3", "p1,4")
+    assert g == acx4.validate_graph(g.vertices, g.edges)
 
 
 class GraphAndFamily(RuleBasedStateMachine):

@@ -14,12 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
-from .errors import InternalInconsistency, NonPositiveInput, NotRealizable, PreconditionViolated
+from .errors import (
+    DomainError,
+    InternalInconsistency,
+    NonPositiveInput,
+    NotRealizable,
+    PreconditionViolated,
+)
 from .lattice import Vec
 from .multifan import (
     MultiFan,
     MultiFanFamily,
-    blow_up_fan,
+    as_vec,
+    blow_up_inplace,
     self_intersections,
     validate_multifan,
 )
@@ -51,6 +58,17 @@ class HirzebruchForm:
     v2: Vec
     a: int
     rotation: int
+
+
+def _integer(name, value):
+    # bool is an int subclass, but True is not the integer 1 here
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive(name, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise NonPositiveInput(name, value)
 
 
 def fixed_point_data(fam: MultiFanFamily) -> list[FixedPointDatum]:
@@ -106,11 +124,14 @@ def recognize_four(fan: MultiFan) -> HirzebruchForm:
 
 def make_cp2_fan(v1: Vec, v2: Vec) -> MultiFan:
     """The 3-point fan {v1, v2, -v1-v2} of a linear projective-plane action."""
+    v1, v2 = as_vec(v1, 0), as_vec(v2, 1)
     return validate_multifan([v1, v2, lattice.neg(lattice.add(v1, v2))])
 
 
 def make_hirzebruch_fan(v1: Vec, v2: Vec, n: int) -> MultiFan:
     """The 4-point fan {v1, v2, -v1 + n*v2, -v2}; n = 0 gives the unit fan."""
+    v1, v2 = as_vec(v1, 0), as_vec(v2, 1)
+    _integer("n", n)
     third = (-v1[0] + n * v2[0], -v1[1] + n * v2[1])
     return validate_multifan([v1, v2, third, lattice.neg(v2)])
 
@@ -137,8 +158,7 @@ def make_todd_fan(n0: int) -> MultiFan:
     After the initial (1, 0) the vectors alternate (j, 1) for even j and
     (-j, -1) for odd j; every consecutive determinant is +1.
     """
-    if n0 < 1:
-        raise NonPositiveInput("n0", n0)
+    _positive("n0", n0)
     vs = [(1, 0)]
     for j in range(2, 2 * n0 + 2):
         vs.append((j, 1) if j % 2 == 0 else (-j, -1))
@@ -151,14 +171,12 @@ def realize_chi_y(n0: int, n1: int) -> MultiFanFamily:
     The winding-n0 base fan has 2*n0 + 1 fixed points, hence middle count
     1; each of the n1 - 1 blow-ups at position 0 raises it by one.
     """
-    if n0 < 1:
-        raise NonPositiveInput("n0", n0)
-    if n1 < 1:
-        raise NonPositiveInput("n1", n1)
-    fan = make_todd_fan(n0)
+    _positive("n0", n0)
+    _positive("n1", n1)
+    vs = list(make_todd_fan(n0).vectors)
     for _ in range(n1 - 1):
-        fan = blow_up_fan(fan, 0)
-    return MultiFanFamily((fan,))
+        blow_up_inplace(vs, 0)
+    return MultiFanFamily((MultiFan(tuple(vs)),))
 
 
 def realize_chern(c1_sq: int, c2: int) -> MultiFanFamily:
@@ -167,6 +185,8 @@ def realize_chern(c1_sq: int, c2: int) -> MultiFanFamily:
     Raises NotRealizable carrying the fractional or nonpositive (n0, n1)
     when no family has the requested pair.
     """
+    _integer("c1_sq", c1_sq)
+    _integer("c2", c2)
     n0 = Fraction(c1_sq + c2, 12)
     n1 = Fraction(5 * c2 - c1_sq, 6)
     if n0.denominator != 1 or n1.denominator != 1 or n0 < 1 or n1 < 1:

@@ -1,7 +1,8 @@
 """Command-line interface over the document formats.
 
 Exit codes: 0 success, 1 validation or domain error (diagnostic on
-stderr), 2 usage error.
+stderr), 2 usage error, 3 internal error: a failed internal cross-check,
+which is a bug and never a bad input ("internal error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .classify import plumbing_description, recognize_four, recognize_three
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistency
 from .generate import gen_random_family
 from .invariants import chi_y_report
 from .multifan import (
@@ -36,8 +37,11 @@ from .torusgraph import family_to_graph, graph_to_family
 
 
 def _load_document(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     return parse_document(text)
 
 
@@ -255,6 +259,9 @@ def cli_main(argv=None) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -3,7 +3,8 @@
 Everything user-triggerable derives from DomainError (a ValueError), which
 the CLI maps to exit code 1.  InternalInconsistency is different: it flags a
 violated theorem or a broken internal cross-check, i.e. a bug, never a bad
-input, and is deliberately left outside the DomainError hierarchy.
+input, and is deliberately left outside the DomainError hierarchy; the
+CLI maps it to exit code 3.
 """
 
 

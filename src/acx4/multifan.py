@@ -69,16 +69,17 @@ class MultiFanFamily:
         return len(self.fans)
 
 
-def _as_vec(item, index) -> Vec:
+def as_vec(item, index, where="vector at index {}") -> Vec:
+    """item as an integer pair; a DomainError names it where.format(index)."""
     try:
         x, y = item
     except (TypeError, ValueError):
-        raise DomainError(f"vector at index {index} is not a pair") from None
+        raise DomainError(f"{where.format(index)} is not a pair") from None
     if type(x) is not int or type(y) is not int:
         # int subclasses pass, except bool: True is not the coordinate 1
         if (not isinstance(x, int) or not isinstance(y, int)
                 or isinstance(x, bool) or isinstance(y, bool)):
-            raise DomainError(f"vector at index {index} must have integer entries")
+            raise DomainError(f"{where.format(index)} must have integer entries")
     return (x, y)
 
 
@@ -89,7 +90,7 @@ def validate_multifan(raw) -> MultiFan:
     the pair ending at that index, then OrientationFlip where consecutive
     determinants first disagree.
     """
-    vs = tuple(_as_vec(item, i) for i, item in enumerate(raw))
+    vs = tuple(as_vec(item, i) for i, item in enumerate(raw))
     k = len(vs)
     if k < 3:
         raise TooShort(k)

@@ -75,16 +75,23 @@ def document_for(payload) -> Document:
 
 # --- decoding ----------------------------------------------------------------
 
-def _need(obj, key, path):
+def _field(obj, key, path, read):
+    """read(obj[key], its path), once obj is an object holding key."""
     if not isinstance(obj, dict):
         raise ParseError(path or "$", "expected an object")
     if key not in obj:
         raise ParseError(_join(path, key), "missing field")
-    return obj[key]
+    return read(obj[key], _join(path, key))
 
 
 def _join(path, key):
     return f"{path}.{key}" if path else key
+
+
+def _each(read):
+    """A reader of an array that reads each element with its [i] path."""
+    return lambda obj, path: [read(item, f"{path}[{i}]")
+                              for i, item in enumerate(_list_from(obj, path))]
 
 
 def _int_from(obj, path) -> int:
@@ -121,68 +128,52 @@ def _list_from(obj, path) -> list:
     return obj
 
 
+def _fan_from(obj, path):
+    return _field(obj, "vectors", path, _each(_vec_from))
+
+
 def _family_from(data, path) -> MultiFanFamily:
-    fans = _list_from(_need(data, "fans", path), _join(path, "fans"))
-    raw = []
-    for i, item in enumerate(fans):
-        fan_path = f"{_join(path, 'fans')}[{i}]"
-        vectors = _list_from(_need(item, "vectors", fan_path),
-                             _join(fan_path, "vectors"))
-        raw.append([
-            _vec_from(v, f"{_join(fan_path, 'vectors')}[{j}]")
-            for j, v in enumerate(vectors)
-        ])
-    return validate_family(raw)
+    return validate_family(_field(data, "fans", path, _each(_fan_from)))
+
+
+def _edge_from(obj, path):
+    return (_field(obj, "from", path, _str_from), _field(obj, "to", path, _str_from),
+            _field(obj, "label", path, _vec_from))
 
 
 def _graph_from(data, path) -> TorusGraph:
-    vertices = [
-        _str_from(v, f"{_join(path, 'vertices')}[{i}]")
-        for i, v in enumerate(_list_from(_need(data, "vertices", path),
-                                         _join(path, "vertices")))
-    ]
-    edges = []
-    for i, item in enumerate(_list_from(_need(data, "edges", path),
-                                        _join(path, "edges"))):
-        edge_path = f"{_join(path, 'edges')}[{i}]"
-        edges.append((
-            _str_from(_need(item, "from", edge_path), _join(edge_path, "from")),
-            _str_from(_need(item, "to", edge_path), _join(edge_path, "to")),
-            _vec_from(_need(item, "label", edge_path), _join(edge_path, "label")),
-        ))
-    return validate_graph(vertices, edges)
+    return validate_graph(_field(data, "vertices", path, _each(_str_from)),
+                          _field(data, "edges", path, _each(_edge_from)))
+
+
+def _family_tag(tag, path):
+    if tag != FORMAT_FAMILY:
+        raise ParseError(path, f"expected {FORMAT_FAMILY!r}, got {tag!r}")
 
 
 def _embedded_family_from(data, path) -> MultiFanFamily:
-    tag = _need(data, "format", path)
-    if tag != FORMAT_FAMILY:
-        raise ParseError(_join(path, "format"),
-                         f"expected {FORMAT_FAMILY!r}, got {tag!r}")
+    _field(data, "format", path, _family_tag)
     return _family_from(data, path)
 
 
-def _move_from(item, path) -> Move:
-    kind = _str_from(_need(item, "kind", path), _join(path, "kind"))
+def _kind_from(obj, path) -> str:
+    kind = _str_from(obj, path)
     if kind not in (BLOW_UP, BLOW_DOWN):
-        raise ParseError(_join(path, "kind"), f"unknown move kind {kind!r}")
-    return Move(
-        kind,
-        _int_from(_need(item, "fan", path), _join(path, "fan")),
-        _int_from(_need(item, "position", path), _join(path, "position")),
-        _vec_from(_need(item, "vector", path), _join(path, "vector")),
-    )
+        raise ParseError(path, f"unknown move kind {kind!r}")
+    return kind
+
+
+def _move_from(obj, path) -> Move:
+    return Move(_field(obj, "kind", path, _kind_from),
+                _field(obj, "fan", path, _int_from),
+                _field(obj, "position", path, _int_from),
+                _field(obj, "vector", path, _vec_from))
 
 
 def _log_from(data, path) -> MoveLog:
-    initial = _embedded_family_from(_need(data, "initial", path),
-                                    _join(path, "initial"))
-    final = _embedded_family_from(_need(data, "final", path),
-                                  _join(path, "final"))
-    moves = tuple(
-        _move_from(item, f"{_join(path, 'moves')}[{i}]")
-        for i, item in enumerate(_list_from(_need(data, "moves", path),
-                                            _join(path, "moves")))
-    )
+    initial = _field(data, "initial", path, _embedded_family_from)
+    final = _field(data, "final", path, _embedded_family_from)
+    moves = tuple(_field(data, "moves", path, _each(_move_from)))
     try:
         replayed = replay(initial, moves)
     except MoveInapplicable as exc:
@@ -193,19 +184,22 @@ def _log_from(data, path) -> MoveLog:
     return MoveLog(initial, moves, final)
 
 
-def _report_from(data, path) -> ChiYReport:
-    a = _list_from(_need(data, "a", path), _join(path, "a"))
-    if len(a) != 3:
-        raise ParseError(_join(path, "a"), "expected exactly 3 counts")
-    a0, a1, a2 = (_int_from(a[i], f"{_join(path, 'a')}[{i}]") for i in range(3))
+def _counts_from(obj, path):
+    if len(_list_from(obj, path)) != 3:
+        raise ParseError(path, "expected exactly 3 counts")
+    a0, a1, a2 = _each(_int_from)(obj, path)
     if min(a0, a1, a2) < 0:
-        raise ParseError(_join(path, "a"), "counts must be nonnegative")
+        raise ParseError(path, "counts must be nonnegative")
     if a0 != a2:
-        raise ParseError(_join(path, "a"), "first and last counts must agree")
+        raise ParseError(path, "first and last counts must agree")
+    return a0, a1, a2
+
+
+def _report_from(data, path) -> ChiYReport:
+    report = ChiYReport.from_counts(*_field(data, "a", path, _counts_from))
     keys = ("euler", "todd", "signature", "c1_sq", "c2")
     # every field is read before any is compared: missing beats inconsistent
-    fields = [_int_from(_need(data, key, path), _join(path, key)) for key in keys]
-    report = ChiYReport.from_counts(a0, a1, a2)
+    fields = [_field(data, key, path, _int_from) for key in keys]
     for key, got in zip(keys, fields):
         want = getattr(report, key)
         if got != want:
@@ -226,7 +220,7 @@ def parse_document(text: str) -> Document:
         raise ParseError("$", f"nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("$", "top level must be an object")
-    tag = _need(data, "format", "")
+    tag = _field(data, "format", "", lambda obj, _: obj)
     _, decode, _ = _codec(tag)
     return Document(tag, decode(data, ""))
 

@@ -43,6 +43,7 @@ from .errors import (
 from .lattice import Vec
 from .multifan import (
     MultiFanFamily,
+    as_vec,
     blow_down_inplace,
     blow_up_inplace,
     is_minimal_fan,
@@ -72,16 +73,7 @@ def _as_edge(item, index) -> Edge:
             src, dst, label = item
         except (TypeError, ValueError):
             raise DomainError(f"edge at index {index} is not a triple") from None
-    try:
-        x, y = label
-    except (TypeError, ValueError):
-        raise DomainError(f"edge at index {index}: label is not a pair") from None
-    if type(x) is not int or type(y) is not int:
-        # int subclasses pass, except bool: True is not the coordinate 1
-        if (not isinstance(x, int) or not isinstance(y, int)
-                or isinstance(x, bool) or isinstance(y, bool)):
-            raise DomainError(f"edge at index {index}: label must have integer entries")
-    return Edge(str(src), str(dst), (x, y))
+    return Edge(str(src), str(dst), as_vec(label, index, "edge at index {}: label"))
 
 
 def _incidences(g: TorusGraph):
@@ -96,18 +88,19 @@ def _incidences(g: TorusGraph):
     return inc
 
 
-def _component_vertices(g, inc, v0):
-    seen = {v0}
-    stack = [v0]
-    while stack:
-        v = stack.pop()
-        for idx, outgoing in inc[v]:
-            e = g.edges[idx]
-            u = e.dst if outgoing else e.src
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+def _walk(g, inc, start, idx, outgoing):
+    # the cycle from start along edge idx, as (edge index, oriented edge)
+    cycle = []
+    cur = start
+    while True:
+        e = g.edges[idx]
+        oriented = e if outgoing else Edge(cur, e.src, lattice.neg(e.label))
+        cycle.append((idx, oriented))
+        cur = oriented.dst
+        if cur == start:
+            return cycle
+        a, b = inc[cur]
+        idx, outgoing = b if a[0] == idx else a
 
 
 def normalized_components(g: TorusGraph):
@@ -130,23 +123,11 @@ def normalized_components(g: TorusGraph):
     for seed in g.vertices:
         if seed in visited:
             continue
-        component = _component_vertices(g, inc, seed)
-        visited |= component
+        component = [oe.src for _, oe in _walk(g, inc, seed, *inc[seed][0])]
+        visited.update(component)
         start = min(component)
-        slots = inc[start]
-        outgoing_slots = [s for s in slots if s[1]]
-        idx, outgoing = outgoing_slots[0] if outgoing_slots else slots[0]
-        cycle = []
-        cur = start
-        while True:
-            e = g.edges[idx]
-            oriented = e if outgoing else Edge(cur, e.src, lattice.neg(e.label))
-            cycle.append((idx, oriented))
-            cur = oriented.dst
-            if cur == start:
-                break
-            idx, outgoing = next(s for s in inc[cur] if s[0] != idx)
-        cycles.append(cycle)
+        a, b = inc[start]
+        cycles.append(_walk(g, inc, start, *(a if a[1] or not b[1] else b)))
     return cycles
 
 

@@ -288,6 +288,14 @@ def reference_replay(initial, moves):
     return fam
 
 
+def reference_realize_chi_y(n0, n1):
+    # one copying blow_up_fan per added fixed point
+    fan = acx4.make_todd_fan(n0)
+    for _ in range(n1 - 1):
+        fan = acx4.blow_up_fan(fan, 0)
+    return acx4.MultiFanFamily((fan,))
+
+
 def _reference_choice(v1, v2):
     # the sign rule with both of its branches, as first written
     target = v2[0] ** 2 + v2[1] ** 2

@@ -142,6 +142,24 @@ def test_constructors_take_lists_and_refuse_longer_vectors():
         acx4.make_hirzebruch_fan((1, 0, 9), (0, 1), 2)
 
 
+@pytest.mark.parametrize("make, index", [
+    (lambda: acx4.make_cp2_fan((1,), (0, 1)), 0),
+    (lambda: acx4.make_cp2_fan(5, (0, 1)), 0),
+    (lambda: acx4.make_hirzebruch_fan((1, 0), (0,), 2), 1),
+], ids=["cp2-short", "cp2-scalar", "hirzebruch-short"])
+def test_constructors_refuse_vectors_that_are_not_pairs(make, index):
+    with pytest.raises(DomainError) as exc:
+        make()
+    assert str(exc.value) == f"vector at index {index} is not a pair"
+
+
+def test_make_hirzebruch_fan_needs_an_integer_n():
+    for n in ("2", None, 2.0, True):
+        with pytest.raises(DomainError) as exc:
+            acx4.make_hirzebruch_fan((1, 0), (0, 1), n)
+        assert str(exc.value) == f"n must be an integer, got {n!r}"
+
+
 def test_make_minimal_family():
     fam = acx4.make_minimal_family([1])
     assert fam.fans[0].vectors == ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -169,6 +187,13 @@ def test_make_todd_fan():
         acx4.make_todd_fan(0)
 
 
+def test_make_todd_fan_needs_an_int():
+    for n0 in (2.0, "3", True):
+        with pytest.raises(NonPositiveInput) as exc:
+            acx4.make_todd_fan(n0)
+        assert exc.value.value == n0 and exc.value.name == "n0"
+
+
 def test_realize_chi_y_golden():
     assert acx4.realize_chi_y(1, 1).fans[0] == acx4.make_todd_fan(1)
     r = acx4.chi_y_report(acx4.realize_chi_y(1, 2))
@@ -184,6 +209,19 @@ def test_realize_chi_y_golden():
         acx4.realize_chi_y(1, 0)
 
 
+def test_realize_chi_y_needs_ints():
+    for n0, n1, name in ((1, 2.5, "n1"), (True, 1, "n0"), ("2", 1, "n0"), (1, None, "n1")):
+        with pytest.raises(NonPositiveInput) as exc:
+            acx4.realize_chi_y(n0, n1)
+        assert exc.value.name == name
+
+
+@pytest.mark.parametrize("n0", [1, 2, 5])
+@pytest.mark.parametrize("n1", [1, 2, 3, 50, 2000])
+def test_realize_chi_y_matches_reference(n0, n1):
+    assert acx4.realize_chi_y(n0, n1) == oracles.reference_realize_chi_y(n0, n1)
+
+
 def test_realize_chern_golden():
     r = acx4.chi_y_report(acx4.realize_chern(9, 3))
     assert (r.c1_sq, r.c2) == (9, 3) and r.a0 == 1 and r.a1 == 1
@@ -194,3 +232,12 @@ def test_realize_chern_golden():
     assert exc.value.n0 * 12 == 13
     with pytest.raises(NotRealizable):
         acx4.realize_chern(12, 0)  # n0 = 1, n1 = -2
+
+
+def test_realize_chern_needs_integers():
+    for args, message in ((("9", 3), "c1_sq must be an integer, got '9'"),
+                          ((9, 3.0), "c2 must be an integer, got 3.0"),
+                          ((9, True), "c2 must be an integer, got True")):
+        with pytest.raises(DomainError) as exc:
+            acx4.realize_chern(*args)
+        assert str(exc.value) == message

@@ -6,6 +6,7 @@ import pytest
 import oracles
 import acx4
 from acx4.cli import build_parser, cli_main
+from acx4.errors import InternalInconsistency
 from acx4.serialize import document_for, emit_document, parse_document
 
 
@@ -66,6 +67,24 @@ def test_blowup_past_the_output_digit_limit(tmp_path, capsys):
 def test_missing_file_is_domain_exit(capsys):
     assert cli_main(["validate", "/definitely/not/here.json"]) == 1
     assert capsys.readouterr().err
+
+
+def test_non_utf8_file_is_domain_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli_main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ")
+
+
+def test_internal_inconsistency_exits_3(cp2_path, monkeypatch, capsys):
+    def broken(fam):
+        raise InternalInconsistency("a cross-check failed")
+
+    monkeypatch.setattr("acx4.cli.reduce_to_minimal", broken)
+    assert cli_main(["minimize", cp2_path]) == 3
+    assert capsys.readouterr() == ("", "internal error: a cross-check failed\n")
 
 
 def test_usage_error_exits_2(capsys):

@@ -4,8 +4,9 @@ tests/oracles.py keeps the whole-fan re-validating rewrites, the
 full-scan reduction engine with its sorted norm profile, the
 all-rotations canonical form, and the graph rewrites that normalize and
 re-validate the whole graph.  The local-check kernel, the block-indexed
-engine, Booth's canonical form and the local graph rewrites must agree
-with them byte for byte, on outputs and on errors.
+engine, the two-pointer least-rotation canonical form and the local
+graph rewrites must agree with them byte for byte, on outputs and on
+errors.
 """
 
 import dataclasses

@@ -234,6 +234,10 @@ def test_emitters_refuse_integers_past_the_digit_limit():
 FAN_DOC = '{"format": "acx4-fans/1", "fans": %s}'
 REPORT_DOC = ('{"format": "acx4-report/1", "a": %s, "euler": 3, "todd": 1, '
               '"signature": 1, "c1_sq": 9, "c2": 3}')
+GRAPH_DOC = '{"format": "acx4-graph/1", "vertices": ["p1", "p2", "p3"], "edges": %s}'
+FANS = '{"format": "acx4-fans/1", "fans": [{"vectors": [[1, 0], [0, 1], [-1, %s]]}]}'
+LOG_DOC = '{"format": "acx4-log/1", "initial": %s, "moves": %s, "final": %s}'
+MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
 
 
 @pytest.mark.parametrize("text, path, message", [
@@ -247,8 +251,39 @@ REPORT_DOC = ('{"format": "acx4-report/1", "a": %s, "euler": 3, "todd": 1, '
      "vertices[1]", "expected a string, got 2"),
     (REPORT_DOC % "[1, 1]", "a", "expected exactly 3 counts"),
     (REPORT_DOC % "[-1, 5, -1]", "a", "counts must be nonnegative"),
+    ('{"fans": []}', "format", "missing field"),
+    (GRAPH_DOC % "[5]", "edges[0]", "expected an object"),
+    (GRAPH_DOC % '[{"from": "p1", "label": [1, 0]}]', "edges[0].to", "missing field"),
+    (GRAPH_DOC % '[{"from": 1, "to": "p2", "label": [1, 0]}]',
+     "edges[0].from", "expected a string, got 1"),
+    (GRAPH_DOC % '[{"from": "p1", "to": "p2", "label": [1]}]',
+     "edges[0].label", "expected a 2-element integer array"),
+    (GRAPH_DOC % "{}", "edges", "expected an array"),
+    (LOG_DOC % ((FANS % "-1").replace("fans/1", "graph/1"), "[]", FANS % "-1"),
+     "initial.format", "expected 'acx4-fans/1', got 'acx4-graph/1'"),
+    (LOG_DOC % (FANS % "-1", "{}", FANS % "-1"), "moves", "expected an array"),
+    (MOVE_LOG % "5", "moves[0]", "expected an object"),
+    (MOVE_LOG % '{"kind": "flip", "fan": 0, "position": 0, "vector": [1, 1]}',
+     "moves[0].kind", "unknown move kind 'flip'"),
+    (MOVE_LOG % '{"kind": "blow_up", "fan": "x", "position": 0, "vector": [1, 1]}',
+     "moves[0].fan", "expected an integer, got 'x'"),
+    (MOVE_LOG % '{"kind": "blow_up", "fan": 0, "position": 0}',
+     "moves[0].vector", "missing field"),
+    ('{"format": "acx4-log/1", "initial": %s, "moves": {}}' % (FANS % "-1"),
+     "final", "missing field"),
+    (LOG_DOC % (FANS % "true", "[]", FANS % "-1"),
+     "initial.fans[0].vectors[2][1]", "expected an integer"),
+    (LOG_DOC % (FANS % "-1", "[]", FANS % "true"),
+     "final.fans[0].vectors[2][1]", "expected an integer"),
+    (REPORT_DOC.replace(', "c2": 3', "") % "[1, 1, 1]", "c2", "missing field"),
+    (REPORT_DOC % '[1, "x", 1]', "a[1]", "expected an integer, got 'x'"),
 ], ids=["fan-not-object", "true-coordinate", "float-coordinate", "fans-object",
-        "vertex-not-string", "two-counts", "negative-counts"])
+        "vertex-not-string", "two-counts", "negative-counts", "no-format",
+        "edge-not-object", "edge-without-to", "edge-from-not-string",
+        "label-not-pair", "edges-object", "initial-is-graph", "moves-object",
+        "move-not-object", "unknown-kind", "fan-not-integer", "move-without-vector",
+        "log-without-final", "initial-true-coordinate", "final-true-coordinate",
+        "report-without-c2", "count-not-integer"])
 def test_malformed_fields_name_their_path(text, path, message):
     with pytest.raises(ParseError) as exc:
         parse_document(text)

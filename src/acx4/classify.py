@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import (
-    DomainError,
     InternalInconsistency,
     NonPositiveInput,
     NotRealizable,
@@ -25,8 +24,10 @@ from .lattice import Vec
 from .multifan import (
     MultiFan,
     MultiFanFamily,
+    as_int,
     as_vec,
     blow_up_inplace,
+    is_int,
     self_intersections,
     validate_multifan,
 )
@@ -60,14 +61,8 @@ class HirzebruchForm:
     rotation: int
 
 
-def _integer(name, value):
-    # bool is an int subclass, but True is not the integer 1 here
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _positive(name, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not is_int(value) or value < 1:
         raise NonPositiveInput(name, value)
 
 
@@ -131,7 +126,7 @@ def make_cp2_fan(v1: Vec, v2: Vec) -> MultiFan:
 def make_hirzebruch_fan(v1: Vec, v2: Vec, n: int) -> MultiFan:
     """The 4-point fan {v1, v2, -v1 + n*v2, -v2}; n = 0 gives the unit fan."""
     v1, v2 = as_vec(v1, 0), as_vec(v2, 1)
-    _integer("n", n)
+    as_int(n, "n")
     third = (-v1[0] + n * v2[0], -v1[1] + n * v2[1])
     return validate_multifan([v1, v2, third, lattice.neg(v2)])
 
@@ -141,12 +136,15 @@ def make_minimal_family(signs) -> MultiFanFamily:
 
     +1 gives a counterclockwise fan, -1 a clockwise one.
     """
-    signs = list(signs)
+    try:
+        signs = list(signs)
+    except TypeError:  # not iterable: refused below like an empty list
+        signs = []
     if not signs:
         raise PreconditionViolated("signs must be a nonempty list of +1/-1")
     fans = []
     for a in signs:
-        if a not in (1, -1):
+        if as_int(a, "sign") not in (1, -1):
             raise PreconditionViolated(f"sign must be +1 or -1, got {a!r}")
         fans.append(validate_multifan([(1, 0), (0, a), (-1, 0), (0, -a)]))
     return MultiFanFamily(tuple(fans))
@@ -185,8 +183,8 @@ def realize_chern(c1_sq: int, c2: int) -> MultiFanFamily:
     Raises NotRealizable carrying the fractional or nonpositive (n0, n1)
     when no family has the requested pair.
     """
-    _integer("c1_sq", c1_sq)
-    _integer("c2", c2)
+    as_int(c1_sq, "c1_sq")
+    as_int(c2, "c2")
     n0 = Fraction(c1_sq + c2, 12)
     n1 = Fraction(5 * c2 - c1_sq, 6)
     if n0.denominator != 1 or n1.denominator != 1 or n0 < 1 or n1 < 1:

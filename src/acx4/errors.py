@@ -4,8 +4,12 @@ Everything user-triggerable derives from DomainError (a ValueError), which
 the CLI maps to exit code 1.  InternalInconsistency is different: it flags a
 violated theorem or a broken internal cross-check, i.e. a bug, never a bad
 input, and is deliberately left outside the DomainError hierarchy; the
-CLI maps it to exit code 3.
+CLI maps it to exit code 3.  digit_limit turns the interpreter's refusal
+to print an over-long integer into a DomainError.
 """
+
+import sys
+from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -150,6 +154,18 @@ class UnknownFormat(DomainError):
     def __init__(self, tag):
         super().__init__(f"unknown document format {tag!r}")
         self.tag = tag
+
+
+@contextmanager
+def digit_limit():
+    """Raise a DomainError naming the int/str digit limit in place of the
+    ValueError that printing an integer past it raises; wrap only code
+    whose one possible ValueError is that one."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"an integer exceeds the int/str limit of {limit} digits") from None
 
 
 class InternalInconsistency(RuntimeError):

@@ -12,13 +12,15 @@ import random
 
 from .errors import DomainError
 from .classify import make_minimal_family
-from .multifan import MultiFan, MultiFanFamily, blow_up_inplace
+from .multifan import MultiFan, MultiFanFamily, as_int, blow_up_inplace
 
 
 def gen_random_family(seed, components: int = 1, blowups: int = 0,
                       signs=None) -> MultiFanFamily:
     """Reproducible family: `components` unit fans plus `blowups` random
     insertions at a uniformly chosen fan and position each."""
+    as_int(components, "components")
+    as_int(blowups, "blowups")
     if components < 1:
         raise DomainError(f"components must be >= 1, got {components}")
     if blowups < 0:

@@ -15,9 +15,10 @@ replaces det(v, w) by det(v, v+w) = det(v+w, w), both equal to it, and
 deleting v[i] = v[i-1] + v[i+1] replaces two determinants by
 det(v[i-1], v[i+1]), equal to both.  The one rewrite kernel,
 blow_up_inplace and blow_down_inplace on a mutable vector list, therefore
-checks only those determinants, in O(1) arithmetic, and raises
-InternalInconsistency if one differs.  Every fan, family, replay, generator
-and reduction rewrite runs through it.
+checks only the one determinant det(v, w), in O(1) arithmetic, and raises
+InternalInconsistency unless it is +-1 (which only a list that skipped
+validation can break).  Every fan, family, replay, generator and reduction
+rewrite runs through it.
 
 MultiFan and MultiFanFamily values are immutable; the rewrites on them copy
 the vector list, edit it with the kernel and wrap the result.
@@ -69,6 +70,19 @@ class MultiFanFamily:
         return len(self.fans)
 
 
+def is_int(value) -> bool:
+    """True for an integer: int subclasses pass, except bool, since True is
+    not the integer 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_int(value, name) -> int:
+    """value, once it is an integer; a DomainError names it otherwise."""
+    if not is_int(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def as_vec(item, index, where="vector at index {}") -> Vec:
     """item as an integer pair; a DomainError names it where.format(index)."""
     try:
@@ -76,9 +90,7 @@ def as_vec(item, index, where="vector at index {}") -> Vec:
     except (TypeError, ValueError):
         raise DomainError(f"{where.format(index)} is not a pair") from None
     if type(x) is not int or type(y) is not int:
-        # int subclasses pass, except bool: True is not the coordinate 1
-        if (not isinstance(x, int) or not isinstance(y, int)
-                or isinstance(x, bool) or isinstance(y, bool)):
+        if not is_int(x) or not is_int(y):
             raise DomainError(f"{where.format(index)} must have integer entries")
     return (x, y)
 
@@ -136,18 +148,20 @@ def self_intersections(fan: MultiFan) -> list[int]:
     return [eps * lattice.det2(vs[(i + 1) % k], vs[i - 1]) for i in range(k)]
 
 
-def _check_local(d, d1, d2, rewrite, i):
-    # the determinants a rewrite touches: all three equal, and +-1
-    if not d == d1 == d2 or (d != 1 and d != -1):
+def _check_local(v, w, rewrite, i):
+    # det(v, v+w) = det(v+w, w) = det(v, w): one determinant decides all three
+    d = lattice.det2(v, w)
+    if d != 1 and d != -1:
         raise InternalInconsistency(
-            f"{rewrite} at {i}: determinants {d}, {d1}, {d2} break admissibility")
+            f"{rewrite} at {i}: determinant {d} breaks admissibility")
 
 
 def blow_up_inplace(vs: list, i: int) -> Vec:
     """Insert v[i] + v[i+1] between cyclic positions i and i+1 of an
     admissible vector list, in place; returns the inserted vector.
 
-    Checks only det(v[i], v[i+1]) and the two determinants replacing it.
+    Checks only det(v[i], v[i+1]), which both determinants replacing it
+    equal.
     """
     k = len(vs)
     if not 0 <= i < k:
@@ -155,8 +169,7 @@ def blow_up_inplace(vs: list, i: int) -> Vec:
     v = vs[i]
     w = vs[(i + 1) % k]
     u = (v[0] + w[0], v[1] + w[1])
-    _check_local(lattice.det2(v, w), lattice.det2(v, u), lattice.det2(u, w),
-                 "blow-up", i)
+    _check_local(v, w, "blow-up", i)
     vs.insert(i + 1, u)
     return u
 
@@ -165,8 +178,8 @@ def blow_down_inplace(vs: list, i: int) -> Vec:
     """Delete v[i] from an admissible vector list, in place; applies only
     when v[i] = v[i-1] + v[i+1].  Returns the deleted vector.
 
-    Checks only det(v[i-1], v[i]), det(v[i], v[i+1]) and the determinant
-    det(v[i-1], v[i+1]) replacing them.
+    Checks only det(v[i-1], v[i+1]), the determinant replacing the two it
+    deletes, which equal it once v[i] = v[i-1] + v[i+1] holds.
     """
     k = len(vs)
     if not 0 <= i < k:
@@ -174,8 +187,7 @@ def blow_down_inplace(vs: list, i: int) -> Vec:
     v, u, w = vs[i - 1], vs[i], vs[(i + 1) % k]
     if u != (v[0] + w[0], v[1] + w[1]):
         raise NotBlowDownable(i)
-    _check_local(lattice.det2(v, w), lattice.det2(v, u), lattice.det2(u, w),
-                 "blow-down", i)
+    _check_local(v, w, "blow-down", i)
     del vs[i]
     return u
 
@@ -183,20 +195,20 @@ def blow_down_inplace(vs: list, i: int) -> Vec:
 def blow_up_fan(fan: MultiFan, i: int) -> MultiFan:
     """Insert v[i] + v[i+1] between cyclic positions i and i+1."""
     vs = list(fan.vectors)
-    blow_up_inplace(vs, i)
+    blow_up_inplace(vs, as_int(i, "position"))
     return MultiFan(tuple(vs))
 
 
 def blow_down_fan(fan: MultiFan, i: int) -> MultiFan:
     """Delete v[i]; applies only when v[i] = v[i-1] + v[i+1]."""
     vs = list(fan.vectors)
-    blow_down_inplace(vs, i)
+    blow_down_inplace(vs, as_int(i, "position"))
     return MultiFan(tuple(vs))
 
 
 def blow_up_in_family(fam: MultiFanFamily, fan_index: int, i: int) -> MultiFanFamily:
     """Blow up one member fan, leaving the others untouched."""
-    if not 0 <= fan_index < len(fam.fans):
+    if not 0 <= as_int(fan_index, "fan_index") < len(fam.fans):
         raise IndexOutOfRange(fan_index, len(fam.fans))
     new = blow_up_fan(fam.fans[fan_index], i)
     return MultiFanFamily(fam.fans[:fan_index] + (new,) + fam.fans[fan_index + 1 :])
@@ -204,7 +216,7 @@ def blow_up_in_family(fam: MultiFanFamily, fan_index: int, i: int) -> MultiFanFa
 
 def blow_down_in_family(fam: MultiFanFamily, fan_index: int, i: int) -> MultiFanFamily:
     """Blow down one member fan, leaving the others untouched."""
-    if not 0 <= fan_index < len(fam.fans):
+    if not 0 <= as_int(fan_index, "fan_index") < len(fam.fans):
         raise IndexOutOfRange(fan_index, len(fam.fans))
     new = blow_down_fan(fam.fans[fan_index], i)
     return MultiFanFamily(fam.fans[:fan_index] + (new,) + fam.fans[fan_index + 1 :])

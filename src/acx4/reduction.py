@@ -3,20 +3,22 @@
 Each outer iteration removes the longest vector w of the family (first fan,
 first position on ties).  Its neighbors w1, w2 are strictly shorter (two
 equally long basis vectors longer than 1 cannot exist), which pins the
-sphere's self-intersection a to {-1, 0, +1}, and each case is a short
-blow-up/blow-down script:
+sphere's self-intersection a to {-1, 0, +1}, and one rule removes w (the
+toric-surface reduction, Fulton, Introduction to Toric Varieties, 2.5):
 
-  a = -1   w equals w1 + w2: one blow-down deletes it.
-  a =  0   w2 = -w1: blow up beside w, then blow down w itself, replacing
-           it by the strictly shorter of w - w1 and w + w1 (the sign comes
-           from reduction_choice, which prefers w - w1 on a tie).
-  a = +1   w equals -w1 - w2: blow-ups bracket w with -w2 and -w1, both
-           strictly shorter, and a blow-down removes w.
+  unless a = -1, blow up the pair (w1, w) when a = +1 or reduction_choice
+  picks w + w1, and the pair (w, w2) when a = +1 or it picks w - w1;
+  then blow w down.
+
+With a = -1, w already equals w1 + w2.  With a = 0, w2 = -w1, so the one
+blow-up inserts the strictly shorter of w + w1 and w - w1 (reduction_choice
+prefers w - w1 on a tie).  With a = +1, w1 + w = -w2 and w + w2 = -w1, both
+strictly shorter, bracket w.  Either way w is then the sum of its neighbors.
 
 The engine works on one mutable vector list per fan and applies every move
-through the multifan kernel, which checks the two or three determinants
-the move touches (a blow-up or blow-down keeps det(v, w) on every new
-consecutive pair, so those local checks keep the whole fan admissible).
+through the multifan kernel, which checks the one determinant det(v, w)
+the move touches (a blow-up or blow-down keeps it on every new consecutive
+pair, so that local check keeps the whole fan admissible).
 Beside each list it keeps the squared norms in blocks of about sqrt(k)
 with cached block maxima, so finding the first longest vector and updating
 after a move cost O(sqrt(k)) rather than a pass over the family.
@@ -24,10 +26,10 @@ after a move cost O(sqrt(k)) rather than a pass over the family.
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule
 (Dershowitz-Manna, CACM 1979): the one vector removed is the maximum and
-every vector inserted is strictly shorter.  It also checks the case bound
-on a, raising InternalInconsistency if either ever fails.  An iteration
-costs O(sqrt(k)) outside the kernel's list edits; replay is linear in the
-number of moves apart from those edits.
+every vector inserted is strictly shorter.  It also checks the bound on
+a, raising InternalInconsistency if either ever fails.  An iteration costs
+O(sqrt(k)) outside the kernel's list edits; replay is linear in the number
+of moves apart from those edits.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .lattice import Vec
 from .multifan import (
     MultiFan,
     MultiFanFamily,
+    as_int,
     blow_down_inplace,
     blow_up_inplace,
     is_minimal_fan,
@@ -112,10 +115,17 @@ def _apply(fans: list[list[Vec]], move: Move) -> None:
     blow_down_inplace(vs, move.position)
 
 
+def _apply_given(fans: list[list[Vec]], move: Move) -> None:
+    # a caller's move, unlike the engine's, may hold indices that are not ints
+    as_int(move.fan_index, "fan_index")
+    as_int(move.position, "position")
+    _apply(fans, move)
+
+
 def apply_move(fam: MultiFanFamily, move: Move) -> MultiFanFamily:
     """Apply one move, verifying the recorded vector against the rewrite."""
     fans = _lists(fam)
-    _apply(fans, move)
+    _apply_given(fans, move)
     return _family(fans)
 
 
@@ -124,7 +134,7 @@ def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
     fans = _lists(initial)
     for i, mv in enumerate(moves):
         try:
-            _apply(fans, mv)
+            _apply_given(fans, mv)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
     return _family(fans)
@@ -200,26 +210,16 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
         return [Move(BLOW_DOWN, j, i, w)]
-    # insert before w, which moves one place right unless the pair wraps
-    pair = (i - 1) % k
-    w_pos = i + 1 if i else 0
-    if a == 0:
-        if lattice.reduction_choice(w1, w) == -1:
-            # insert w - w1 after w; w keeps its index
-            return [
-                Move(BLOW_UP, j, i, lattice.sub(w, w1)),
-                Move(BLOW_DOWN, j, i, w),
-            ]
-        return [
-            Move(BLOW_UP, j, pair, lattice.add(w, w1)),
-            Move(BLOW_DOWN, j, w_pos, w),
-        ]
-    # a == +1: w1 + w == -w2 and w + w2 == -w1
-    return [
-        Move(BLOW_UP, j, pair, lattice.neg(w2)),
-        Move(BLOW_UP, j, w_pos, lattice.neg(w1)),
-        Move(BLOW_DOWN, j, w_pos, w),
-    ]
+    # the side to blow up: both for a = +1 (side 0), else the shorter sum
+    side = 0 if a == 1 else lattice.reduction_choice(w1, w)
+    moves = []
+    if side != -1:
+        moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
+        # w moves one place right unless the pair wraps
+        i = i + 1 if i else 0
+    if side != 1:
+        moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
+    return moves + [Move(BLOW_DOWN, j, i, w)]
 
 
 def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:

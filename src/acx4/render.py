@@ -1,13 +1,15 @@
 """Deterministic text renderings: SVG vector plots, DOT digraphs, TikZ.
 
 Byte output is a pure function of the input value: fixed canvas, fixed
-float formatting, fixed iteration order.
+float formatting, fixed iteration order.  An integer past the int/str digit
+limit raises the DomainError the document emitters raise.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import digit_limit
 from .multifan import MultiFanFamily
 from .torusgraph import TorusGraph, normalized_components
 
@@ -47,8 +49,8 @@ def render_fan_svg(fam: MultiFanFamily) -> str:
         f'  <line class="axis" x1="{px(0)}" y1="0" x2="{px(0)}" y2="{size}" '
         'stroke="#bbbbbb"/>',
     ]
-    for fan in fam.fans:
-        for x, y in fan.vectors:
+    with digit_limit():
+        for x, y in vectors:
             lines.append(
                 f'  <line class="arrow" x1="{px(0)}" y1="{py(0)}" '
                 f'x2="{px(x)}" y2="{py(y)}" stroke="#000000" '
@@ -67,11 +69,12 @@ def render_graph_dot(g: TorusGraph) -> str:
     """Graphviz digraph with one labeled edge per stored edge."""
     lines = ["digraph torusgraph {"]
     lines.extend(f"  {_dot_quote(v)};" for v in g.vertices)
-    lines.extend(
-        f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)} "
-        f'[label="({e.label[0]},{e.label[1]})"];'
-        for e in g.edges
-    )
+    with digit_limit():
+        lines.extend(
+            f"  {_dot_quote(e.src)} -> {_dot_quote(e.dst)} "
+            f'[label="({e.label[0]},{e.label[1]})"];'
+            for e in g.edges
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -100,10 +103,11 @@ def render_graph_tikz(g: TorusGraph) -> str:
                 f"  \\node[state] ({name_of[v]}) at ({x:.3f}, {y:.3f}) "
                 f"{{{_tex_text(v)}}};")
         offset = cx + radius + 1.5
-    lines.extend(
-        f"  \\path ({name_of[e.src]}) [->] edge node "
-        f"{{$({e.label[0]},{e.label[1]})$}} ({name_of[e.dst]});"
-        for e in g.edges
-    )
+    with digit_limit():
+        lines.extend(
+            f"  \\path ({name_of[e.src]}) [->] edge node "
+            f"{{$({e.label[0]},{e.label[1]})$}} ({name_of[e.dst]});"
+            for e in g.edges
+        )
     lines.append(r"\end{tikzpicture}")
     return "\n".join(lines) + "\n"

@@ -37,11 +37,10 @@ JSON numbers at any size.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 from .classify import HirzebruchForm
-from .errors import DomainError, MoveInapplicable, ParseError, UnknownFormat
+from .errors import MoveInapplicable, ParseError, UnknownFormat, digit_limit
 from .invariants import ChiYReport
 from .multifan import MultiFan, MultiFanFamily, validate_family
 from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, Move, MoveLog, replay
@@ -53,6 +52,9 @@ FORMAT_LOG = "acx4-log/1"
 FORMAT_REPORT = "acx4-report/1"
 
 _JSON_SAFE_INT = (1 << 53) - 1
+
+# the report's fields derived from its counts, in document order
+_REPORT_FIELDS = ("euler", "todd", "signature", "c1_sq", "c2")
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,9 @@ def _counts_from(obj, path):
 
 def _report_from(data, path) -> ChiYReport:
     report = ChiYReport.from_counts(*_field(data, "a", path, _counts_from))
-    keys = ("euler", "todd", "signature", "c1_sq", "c2")
     # every field is read before any is compared: missing beats inconsistent
-    fields = [_field(data, key, path, _int_from) for key in keys]
-    for key, got in zip(keys, fields):
+    fields = [_field(data, key, path, _int_from) for key in _REPORT_FIELDS]
+    for key, got in zip(_REPORT_FIELDS, fields):
         want = getattr(report, key)
         if got != want:
             raise ParseError(_join(path, key),
@@ -266,23 +267,14 @@ def _log_obj(log: MoveLog):
 
 
 def _report_obj(report: ChiYReport):
-    return {
-        "format": FORMAT_REPORT,
-        "a": [report.a0, report.a1, report.a2],
-        "euler": report.euler,
-        "todd": report.todd,
-        "signature": report.signature,
-        "c1_sq": report.c1_sq,
-        "c2": report.c2,
-    }
+    obj = {"format": FORMAT_REPORT, "a": [report.a0, report.a1, report.a2]}
+    obj.update((key, getattr(report, key)) for key in _REPORT_FIELDS)
+    return obj
 
 
 def _dumps(build) -> str:
-    try:  # str() in _enc_int and json.dumps raise ValueError past the digit limit
+    with digit_limit():  # str() in _enc_int and json.dumps print every integer
         return json.dumps(build(), indent=2) + "\n"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise DomainError(f"an integer exceeds the int/str limit of {limit} digits") from None
 
 
 def emit_document(doc: Document) -> str:

@@ -16,9 +16,9 @@ outside the program.  A blow-up or blow-down of a graph is the same local
 move as on its fan, so blow_up_graph and blow_down_graph normalize only an
 input that is not yet directed (a directed cycle normalizes to itself),
 edit the vertex and edge tuples around the touched vertex, and check only
-the determinants the move touches, through the fan kernel
-blow_up_inplace / blow_down_inplace; a broken one raises
-InternalInconsistency.
+the one determinant the move keeps, det(w1, w2) of the two outer labels,
+through the fan kernel blow_up_inplace / blow_down_inplace; unless it is
++-1 they raise InternalInconsistency.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     fresh vertices v', v'' joined by a (w1+w2)-edge stored right after the
     incoming edge, and the outer edges keep their labels.  An undirected g
     is normalized first.  Only the two edges at v change, so the fan
-    kernel checks the determinants the new edge touches in place of
+    kernel checks the one determinant det(w1, w2) in place of
     validate_graph.
     """
     slot = _slot(g, v)
@@ -298,7 +298,7 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     contracted vertex takes the lexicographically smaller of the two ids
     and the earlier of their two vertex slots.  An undirected g is
     normalized first.  Only the three edges of the pattern change, so the
-    fan kernel checks the determinants the contraction touches in place of
+    fan kernel checks the one determinant det(w1, w2) in place of
     validate_graph.
     """
     if isinstance(edge, Edge):

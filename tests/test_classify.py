@@ -172,6 +172,12 @@ def test_make_minimal_family():
         acx4.make_minimal_family([2])
 
 
+def test_make_minimal_family_needs_a_list():
+    with pytest.raises(PreconditionViolated,
+                       match="signs must be a nonempty list of"):
+        acx4.make_minimal_family(5)
+
+
 def test_make_todd_fan():
     assert acx4.make_todd_fan(1).vectors == ((1, 0), (2, 1), (-3, -1))
     assert acx4.make_todd_fan(2).vectors == ((1, 0), (2, 1), (-3, -1), (4, 1), (-5, -1))

@@ -369,6 +369,47 @@ def test_cli_survives_fuzzed_documents(tmp_path, capsys):
             assert captured.err
 
 
+def _structured_mutations():
+    """(name, text, exit code) for documents holding integers at the
+    number/string boundary or past the digit limit, in a family and in its
+    graph, and for graphs with an edge dropped, duplicated or pointed at a
+    missing vertex."""
+    marker = 7777777
+    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), marker),))
+    texts = {"fan": emit_document(document_for(fam)),
+             "graph": emit_document(document_for(acx4.family_to_graph(fam)))}
+    # 5001 digits is past the default int/str limit, and 2**53 - 1 is the
+    # largest integer emitted as a JSON number
+    for label, digits, code in (("5001-digits", "1" + "0" * 5000, 1),
+                                ("2^53-1", str(2**53 - 1), 0),
+                                ("2^53", str(2**53), 0),
+                                ("-2^53", str(-2**53), 0)):
+        for form, token in (("number", digits), ("string", f'"{digits}"')):
+            for kind, text in texts.items():
+                yield f"{kind}-{label}-{form}", text.replace(str(marker), token), code
+    graph = json.loads(texts["graph"])
+    edges = graph["edges"]
+    for name, broken in (("dropped", edges[1:]),
+                         ("duplicated", edges + edges[:1]),
+                         ("missing-vertex", [dict(edges[0], to="nowhere")] + edges[1:])):
+        yield f"graph-edge-{name}", json.dumps(dict(graph, edges=broken), indent=2), 1
+
+
+def test_cli_survives_structured_mutations(tmp_path, capsys):
+    commands = [["validate"], ["convert", "--to", "fan"], ["convert", "--to", "graph"],
+                ["invariants"], ["classify"], ["render", "--format", "svg"],
+                ["render", "--format", "dot"], ["render", "--format", "tikz"]]
+    path = tmp_path / "mutated.json"
+    for name, text, expected in _structured_mutations():
+        path.write_text(text)
+        for argv in commands:
+            code = cli_main(argv + [str(path)])
+            captured = capsys.readouterr()
+            assert code == expected, (name, argv, captured.err)
+            if code != 0:
+                assert captured.err, (name, argv)
+
+
 def test_commands_refuse_the_wrong_document_kind(tmp_path, capsys):
     fam = acx4.gen_random_family(3, 2, 4)
     log = write_family(tmp_path, "log.json", acx4.reduce_to_minimal(fam)[1])

@@ -29,3 +29,17 @@ def test_bad_parameters():
         acx4.gen_random_family(0, 1, -1)
     with pytest.raises(DomainError):
         acx4.gen_random_family(0, 2, 1, [1])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, "2", 0), "components must be an integer, got '2'"),
+    ((1, 1, 2.5), "blowups must be an integer, got 2.5"),
+    ((1, True, 0), "components must be an integer, got True"),
+    ((1, 1, 0, [True]), "sign must be an integer, got True"),
+    ((1, 1, 0, [1.0]), "sign must be an integer, got 1.0"),
+], ids=["components-str", "blowups-float", "components-bool", "sign-bool",
+        "sign-float"])
+def test_scalar_arguments_must_be_integers(args, message):
+    with pytest.raises(DomainError) as exc:
+        acx4.gen_random_family(*args)
+    assert str(exc.value) == message

@@ -127,6 +127,20 @@ def test_blow_up_golden():
         acx4.blow_up_fan(cp2, 3)
 
 
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda fam: acx4.blow_up_in_family(fam, 0, 1.5),
+     "position must be an integer, got 1.5"),
+    (lambda fam: acx4.blow_up_in_family(fam, 0.0, 1),
+     "fan_index must be an integer, got 0.0"),
+    (lambda fam: acx4.blow_up_fan(fam.fans[0], True),
+     "position must be an integer, got True"),
+], ids=["position-float", "fan-index-float", "position-bool"])
+def test_rewrite_indices_must_be_integers(rewrite, message):
+    with pytest.raises(DomainError) as exc:
+        rewrite(acx4.make_minimal_family([1]))
+    assert str(exc.value) == message
+
+
 def test_blow_up_preserves_orientation_and_winding():
     rng = random.Random(99)
     for _ in range(200):

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import acx4
-from acx4.errors import MoveInapplicable, NotToddOne
+from acx4.errors import DomainError, MoveInapplicable, NotToddOne
 from acx4.reduction import BLOW_DOWN, BLOW_UP, Move
 
 CP2 = acx4.make_cp2_fan((1, 0), (-1, 1))
@@ -88,6 +88,15 @@ def test_replay_empty_and_mismatched():
         acx4.replay(fam, bad)
     with pytest.raises(MoveInapplicable):
         acx4.replay(fam, (Move(BLOW_UP, 5, 0, (1, 1)),))
+
+
+def test_moves_from_callers_need_integer_indices():
+    fam = acx4.make_minimal_family([1])
+    with pytest.raises(DomainError, match="fan_index must be an integer, got 0.0"):
+        acx4.apply_move(fam, Move(BLOW_UP, 0.0, 0, (1, 1)))
+    with pytest.raises(MoveInapplicable,
+                       match="position must be an integer, got 1.0"):
+        acx4.replay(fam, (Move(BLOW_DOWN, 0, 1.0, (0, 1)),))
 
 
 def test_normalize_complex_golden():

@@ -1,7 +1,12 @@
 import random
+import sys
+
+import pytest
 
 import oracles
 import acx4
+from acx4.errors import DomainError
+from acx4.serialize import document_for, emit_document
 
 
 def cp2_family():
@@ -61,3 +66,20 @@ def test_fan_svg_matches_the_exact_ratio_scaling():
              for n in (10 ** 20, 10 ** 300, 10 ** 400, 10 ** 1000)]
     for fam in fams:
         assert acx4.render_fan_svg(fam) == oracles.reference_render_fan_svg(fam)
+
+
+@pytest.mark.parametrize("render, of", [
+    (acx4.render_fan_svg, lambda fam: fam),
+    (acx4.render_graph_dot, acx4.family_to_graph),
+    (acx4.render_graph_tikz, acx4.family_to_graph),
+], ids=["svg", "dot", "tikz"])
+def test_renderers_refuse_integers_past_the_digit_limit(render, of):
+    # (-1, 10**4400) has 4401 digits, past the interpreter's default limit
+    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 10**4400),))
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DomainError) as exc:
+        render(of(fam))
+    assert str(exc.value) == f"an integer exceeds the int/str limit of {limit} digits"
+    with pytest.raises(DomainError) as exc:
+        emit_document(document_for(fam))
+    assert str(exc.value) == f"an integer exceeds the int/str limit of {limit} digits"

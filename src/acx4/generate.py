@@ -27,10 +27,10 @@ def gen_random_family(seed, components: int = 1, blowups: int = 0,
         raise DomainError(f"blowups must be >= 0, got {blowups}")
     if signs is None:
         signs = [1] * components
-    signs = list(signs)
-    if len(signs) != components:
-        raise DomainError("signs, when given, must have one entry per component")
+    # make_minimal_family reads the signs once and refuses a bad list
     fans = [list(fan.vectors) for fan in make_minimal_family(signs).fans]
+    if len(fans) != components:
+        raise DomainError("signs, when given, must have one entry per component")
     rng = random.Random(seed)
     for _ in range(blowups):
         vs = fans[rng.randrange(len(fans))]

@@ -14,10 +14,12 @@ deterministic):
                   "signature": 1, "c1_sq": 9, "c2": 3}
 
 Integers within the 53-bit double-safe range serialize as JSON numbers and
-as decimal strings beyond it, losslessly either way.  Unknown extra fields
-are ignored on input, and an integer the interpreter will not convert
-(past its int/str digit limit) is a ParseError; an emitter asked to print
-one raises DomainError.  Parsed payloads are fully validated: families
+as decimal strings beyond it, losslessly either way.  A string integer is
+an optional "-" and ASCII digits 0-9 only: any other Unicode digit is a
+ParseError, so a parse-emit round trip keeps the bytes.  Unknown extra
+fields are ignored on input, and an integer the interpreter will not
+convert (past its int/str digit limit) is a ParseError; an emitter asked
+to print one raises DomainError.  Parsed payloads are fully validated: families
 and graphs go through their validators and a log's moves must replay from
 its initial family to its final one.
 
@@ -103,11 +105,11 @@ def _int_from(obj, path) -> int:
         return obj
     if isinstance(obj, str):
         body = obj[1:] if obj.startswith("-") else obj
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             try:
                 return int(obj)
             except ValueError as exc:
-                # isdigit() also accepts digits int() refuses, such as "²"
+                # past the interpreter's int/str digit limit
                 raise ParseError(path, f"unreadable integer: {exc}") from None
     raise ParseError(path, f"expected an integer, got {obj!r}")
 

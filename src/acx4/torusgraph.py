@@ -12,13 +12,14 @@ reading is a bijection between admissible graphs and admissible families:
 graph_to_family and family_to_graph invert each other exactly.
 
 validate_graph checks a whole graph and is the gate for every graph from
-outside the program.  A blow-up or blow-down of a graph is the same local
-move as on its fan, so blow_up_graph and blow_down_graph normalize only an
-input that is not yet directed (a directed cycle normalizes to itself),
-edit the vertex and edge tuples around the touched vertex, and check only
-the one determinant the move keeps, det(w1, w2) of the two outer labels,
-through the fan kernel blow_up_inplace / blow_down_inplace; unless it is
-+-1 they raise InternalInconsistency.
+outside the program.  Every reader of adjacency (the cycle walk and
+weights_at) goes through _incidences, so an edge end outside the vertices
+is UnknownVertex from each.  A blow-up or blow-down of a graph is the same
+local move as on its fan, so blow_up_graph and blow_down_graph read one
+directed view (_directed normalizes only an input that is not yet
+directed), edit the vertex and edge tuples around the touched vertex, and
+leave every sum and determinant test to the fan kernel blow_up_inplace /
+blow_down_inplace.
 """
 
 from __future__ import annotations
@@ -145,13 +146,8 @@ def validate_graph(vertices, edges) -> TorusGraph:
         raise DomainError("a graph needs at least one cycle of vertices")
     if len(set(verts)) != len(verts):
         raise DomainError("duplicate vertex id")
-    vset = set(verts)
     es = tuple(_as_edge(item, i) for i, item in enumerate(edges))
     for e in es:
-        if e.src not in vset:
-            raise UnknownVertex(e.src)
-        if e.dst not in vset:
-            raise UnknownVertex(e.dst)
         if e.label == (0, 0):
             raise ZeroLabel(e)
         if e.src == e.dst:
@@ -163,7 +159,8 @@ def validate_graph(vertices, edges) -> TorusGraph:
             raise MultiEdge(e.src, e.dst)
         seen_pairs.add(pair)
 
-    # normalized_components raises NotTwoRegular for a vertex of another degree
+    # normalized_components raises UnknownVertex for an edge end outside the
+    # vertices and NotTwoRegular for a vertex of another degree
     g = TorusGraph(verts, es)
     for cycle in normalized_components(g):
         labels = [oe.label for _, oe in cycle]
@@ -181,16 +178,12 @@ def validate_graph(vertices, edges) -> TorusGraph:
 
 def weights_at(g: TorusGraph, v: str) -> tuple[Vec, Vec]:
     """The two tangent weights at a vertex, sorted: +label per outgoing
-    edge and -label per incoming edge."""
+    edge and -label per incoming edge, read from _incidences as the walk
+    reads them (so an edge end outside the vertices is UnknownVertex)."""
     if v not in g.vertices:
         raise UnknownVertex(v)
-    ws = []
-    for e in g.edges:
-        if e.src == v:
-            ws.append(e.label)
-        if e.dst == v:
-            ws.append(lattice.neg(e.label))
-    return tuple(sorted(ws))
+    labels = ((g.edges[idx].label, out) for idx, out in _incidences(g)[v])
+    return tuple(sorted(w if out else lattice.neg(w) for w, out in labels))
 
 
 def normalize_orientation(g: TorusGraph) -> TorusGraph:
@@ -240,17 +233,18 @@ _dst = attrgetter("dst")
 
 
 def _directed(g: TorusGraph):
-    """g with every cycle directed, and the source vertex of each edge.
+    """g with every cycle directed, its edges as a list, and the source and
+    destination vertex of each edge.
 
     A 2-regular graph whose every vertex is the source of exactly one edge
     is already a union of directed cycles, which normalization would
     reproduce verbatim.
     """
     srcs = list(map(_src, g.edges))
-    if len(set(srcs)) == len(g.vertices):
-        return g, srcs
-    g = normalize_orientation(g)
-    return g, list(map(_src, g.edges))
+    if len(set(srcs)) != len(g.vertices):
+        g = normalize_orientation(g)
+        srcs = list(map(_src, g.edges))
+    return g, list(g.edges), srcs, list(map(_dst, g.edges))
 
 
 def _slot(g: TorusGraph, v) -> int:
@@ -272,9 +266,8 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     validate_graph.
     """
     slot = _slot(g, v)
-    g, srcs = _directed(g)
-    edges = list(g.edges)
-    in_idx = list(map(_dst, edges)).index(v)
+    g, edges, srcs, dsts = _directed(g)
+    in_idx = dsts.index(v)
     out_idx = srcs.index(v)
     in_e = edges[in_idx]
     out_e = edges[out_idx]
@@ -298,8 +291,8 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     contracted vertex takes the lexicographically smaller of the two ids
     and the earlier of their two vertex slots.  An undirected g is
     normalized first.  Only the three edges of the pattern change, so the
-    fan kernel checks the one determinant det(w1, w2) in place of
-    validate_graph.
+    fan kernel checks the sum and the one determinant det(w1, w2) in place
+    of validate_graph.
     """
     if isinstance(edge, Edge):
         a, b = edge.src, edge.dst
@@ -307,9 +300,7 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
         a, b = edge
     # keep the earlier slot so component discovery order is undisturbed
     keep, drop = sorted((_slot(g, a), _slot(g, b)))
-    g, srcs = _directed(g)
-    edges = list(g.edges)
-    dsts = list(map(_dst, edges))
+    g, edges, srcs, dsts = _directed(g)
     mid_idx = srcs.index(a)
     if dsts[mid_idx] != b:
         mid_idx = srcs.index(b)
@@ -321,9 +312,10 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     out_idx = srcs.index(p2)
     in_e = edges[in_idx]
     out_e = edges[out_idx]
-    if mid.label != lattice.add(in_e.label, out_e.label):
-        raise NotBlowDownable((p1, p2))
-    blow_down_inplace([in_e.label, mid.label, out_e.label], 1)
+    try:
+        blow_down_inplace([in_e.label, mid.label, out_e.label], 1)
+    except NotBlowDownable:  # the kernel names a list index, not the vertices
+        raise NotBlowDownable((p1, p2)) from None
     p = min(p1, p2)
     vs = g.vertices
     vertices = vs[:keep] + (p,) + vs[keep + 1 : drop] + vs[drop + 1 :]

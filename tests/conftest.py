@@ -1,6 +1,17 @@
 import pytest
 
+import acx4
+import oracles
+
 _criterion_results = {}
+
+
+@pytest.fixture(scope="session")
+def criterion_4_reductions():
+    """The 10,000 seeded families of criterion 4, each built and reduced
+    once per run, as (family, final family, move log) in seed order."""
+    return [(fam, *acx4.reduce_to_minimal(fam))
+            for fam in map(oracles.random_mutated_family, range(10_000))]
 
 
 @pytest.hookimpl(hookwrapper=True)

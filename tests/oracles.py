@@ -605,6 +605,21 @@ def reference_graph_to_family(g):
         for cycle in reference_normalized_components(g)))
 
 
+# weights_at reads v's two edges from the walk's incidence map; the
+# reference scans every edge.
+
+def reference_weights_at(g, v):
+    if v not in g.vertices:
+        raise UnknownVertex(v)
+    ws = []
+    for e in g.edges:
+        if e.src == v:
+            ws.append(e.label)
+        if e.dst == v:
+            ws.append(neg(e.label))
+    return tuple(sorted(ws))
+
+
 # --- the replaced SVG scaling -------------------------------------------------
 #
 # render_fan_svg divides each int coordinate by the int span as floats.  The

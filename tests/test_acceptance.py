@@ -70,16 +70,15 @@ def test_criterion_03_parameter_step_reproduction():
         assert stepped == sigma(n + 1)
 
 
-def test_criterion_04_reduction_engine():
+def test_criterion_04_reduction_engine(criterion_4_reductions):
     """Criterion 4: reduction engine, 10^4 seeded random families.
 
     Every reduction terminates minimal with valid intermediates, a
     strictly decreasing norm profile, preserved per-fan winding numbers,
     and a log that replays to the final family.  Zero failures.
     """
-    for seed in range(10_000):
-        fam = oracles.random_mutated_family(seed)
-        final, log = acx4.reduce_to_minimal(fam)
+    assert len(criterion_4_reductions) == 10_000
+    for seed, (fam, final, log) in enumerate(criterion_4_reductions):
         assert len(final.fans) == len(fam.fans)
         for before, after in zip(fam.fans, final.fans):
             assert acx4.is_minimal_fan(after)

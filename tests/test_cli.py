@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
 import oracles
 import acx4
-from acx4.cli import build_parser, cli_main
+from acx4.cli import build_parser, cli_main, main
 from acx4.errors import InternalInconsistency
 from acx4.serialize import document_for, emit_document, parse_document
 
@@ -25,6 +26,20 @@ def cp2_path(tmp_path):
 def test_validate_ok(cp2_path, capsys):
     assert cli_main(["validate", cp2_path]) == 0
     assert "ok: acx4-fans/1" in capsys.readouterr().out
+
+
+def test_console_entry_exits_with_cli_status(cp2_path, tmp_path, monkeypatch, capsys):
+    # the installed `acx4` script calls main(), which reads sys.argv and
+    # turns cli_main's return value into the exit status
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    for args, status in ((["validate", cp2_path], 0), (["validate", str(bad)], 1),
+                         (["frobnicate"], 2)):
+        monkeypatch.setattr(sys, "argv", ["acx4"] + args)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == status
+    assert capsys.readouterr().out == "ok: acx4-fans/1\n"
 
 
 def test_validate_bad_document(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 import acx4
-from acx4.errors import DomainError
+from acx4.errors import DomainError, PreconditionViolated
 
 
 def test_zero_blowups_is_the_unit_family():
@@ -41,5 +41,17 @@ def test_bad_parameters():
         "sign-float"])
 def test_scalar_arguments_must_be_integers(args, message):
     with pytest.raises(DomainError) as exc:
+        acx4.gen_random_family(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 1, 0, 5), "signs must be a nonempty list of +1/-1"),
+    ((1, 1, 0, []), "signs must be a nonempty list of +1/-1"),
+    # the signs are read before their count is compared with components
+    ((0, 1, 0, [1, 2]), "sign must be +1 or -1, got 2"),
+], ids=["not-iterable", "empty", "wrong-length-and-bad-sign"])
+def test_signs_are_read_once_by_the_minimal_family(args, message):
+    with pytest.raises(PreconditionViolated) as exc:
         acx4.gen_random_family(*args)
     assert str(exc.value) == message

@@ -14,6 +14,7 @@ from acx4.errors import (
     NotABasis,
     NotBlowDownable,
     OrientationFlip,
+    PreconditionViolated,
     TooShort,
     ZeroVector,
 )
@@ -221,6 +222,13 @@ def test_winding_number_golden():
     assert acx4.winding_number(acx4.validate_multifan(MINIMAL * 3)) == 3
     for n0 in range(1, 8):
         assert acx4.winding_number(acx4.make_todd_fan(n0)) == n0
+
+
+def test_winding_number_refuses_a_direction_orthogonal_to_a_vector():
+    fan = acx4.validate_multifan([(1, 0), (0, 1), (-1, -1)])
+    with pytest.raises(PreconditionViolated) as exc:
+        acx4.winding_number(fan, (0, 1))
+    assert str(exc.value) == "direction (0, 1) is orthogonal to a fan vector"
 
 
 def test_winding_number_direction_independent_and_matches_oracle():

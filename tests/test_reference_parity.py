@@ -34,10 +34,14 @@ def log_text(log):
 
 def assert_same_reduction(fam):
     final, log = acx4.reduce_to_minimal(fam)
+    assert_reference_agrees(fam, final, log)
+    return log
+
+
+def assert_reference_agrees(fam, final, log):
     ref_final, ref_log = oracles.reference_reduce_to_minimal(fam)
     assert log_text(log) == log_text(ref_log)
     assert final == ref_final
-    return log
 
 
 def iteration_sizes(log):
@@ -62,9 +66,11 @@ def euclid_family(n):
         (acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
 
 
-def test_logs_match_reference_on_criterion_4_seeds():
-    for seed in range(10_000):
-        assert_same_reduction(oracles.random_mutated_family(seed))
+def test_logs_match_reference_on_criterion_4_seeds(criterion_4_reductions):
+    # the engine's results are shared with criterion 4 (see conftest.py)
+    assert len(criterion_4_reductions) == 10_000
+    for fam, final, log in criterion_4_reductions:
+        assert_reference_agrees(fam, final, log)
 
 
 def test_logs_match_reference_in_every_case():
@@ -236,6 +242,18 @@ def test_graph_rewrites_match_reference():
         downs += assert_same_graph_rewrites(directed)
         downs += assert_same_graph_rewrites(oracles.scramble_graph(directed, rng))
     assert downs > 200
+
+
+def test_weights_at_matches_reference():
+    rng = random.Random(0x77)
+    for _ in range(60):
+        fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                     rng.randint(0, 8))
+        directed = acx4.family_to_graph(fam)
+        for g in (directed, oracles.scramble_graph(directed, rng)):
+            for v in g.vertices + ("zz",):
+                assert (outcome(acx4.weights_at, g, v)
+                        == outcome(oracles.reference_weights_at, g, v))
 
 
 def graph_rewrite_chain(signs, rewrites, seed, blow_up, blow_down, scrambled=False):

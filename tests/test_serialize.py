@@ -197,7 +197,10 @@ LONG = "9" * 5001  # past the interpreter's default int/str digit limit
     (f'"{LONG}"', "fans[0].vectors[1][0]"),
     (f'"-{LONG}"', "fans[0].vectors[1][0]"),
     ('"²"', "fans[0].vectors[1][0]"),
-], ids=["long-number", "long-string", "long-negative-string", "superscript"])
+    ('"-\u0661"', "fans[0].vectors[1][0]"),
+    ('"-\uff11"', "fans[0].vectors[1][0]"),
+], ids=["long-number", "long-string", "long-negative-string", "superscript",
+        "arabic-indic-digit", "full-width-digit"])
 def test_unreadable_integers_are_parse_errors(coord, path):
     text = ('{"format": "acx4-fans/1", "fans": [{"vectors": '
             f'[[1, 0], [{coord}, 1], [0, -1]]}}]}}')

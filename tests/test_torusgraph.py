@@ -71,6 +71,24 @@ def test_validate_structural_errors():
         acx4.validate_graph([], [])
 
 
+# endpoints are checked once, by the cycle walk, so an edge fault checked
+# per edge is reported before an edge end outside the vertices
+MULTI_FAULT_GRAPHS = {
+    "self-loop": ((["a", "b"], [("a", "zz", (1, 0)), ("b", "b", (0, 1))]),
+                  SelfLoop(Edge("b", "b", (0, 1)))),
+    "zero-label": ((["a", "b", "c"], [("a", "zz", (1, 0)), ("b", "c", (0, 0))]),
+                   ZeroLabel(Edge("b", "c", (0, 0)))),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_FAULT_GRAPHS))
+def test_validate_checks_endpoints_after_each_edge(name):
+    (vertices, edges), want = MULTI_FAULT_GRAPHS[name]
+    with pytest.raises(type(want)) as exc:
+        acx4.validate_graph(vertices, edges)
+    assert (str(exc.value), vars(exc.value)) == (str(want), vars(want))
+
+
 def test_validate_label_errors():
     with pytest.raises(WeightsNotBasis) as exc:
         acx4.validate_graph(
@@ -106,6 +124,17 @@ def test_weights_at_golden():
             sorted([(0, -1), (-1, n)]))
     with pytest.raises(UnknownVertex):
         acx4.weights_at(g, "nope")
+
+
+def test_weights_at_refuses_a_dangling_edge():
+    # the same incidence map as the cycle walk: an unvalidated edge to a
+    # missing vertex is UnknownVertex, even at a vertex it does not touch
+    g = TorusGraph(("p1", "p2", "p3"),
+                   (Edge("p1", "p2", (1, 0)), Edge("p2", "p3", (-1, 1)),
+                    Edge("p3", "zz", (0, -1))))
+    with pytest.raises(UnknownVertex) as exc:
+        acx4.weights_at(g, "p2")
+    assert (str(exc.value), exc.value.vertex) == ("unknown vertex 'zz'", "zz")
 
 
 def test_normalize_orientation():

@@ -31,9 +31,18 @@ from .serialize import (
     emit_classification,
     emit_document,
     emit_normal_form,
+    is_decimal,
     parse_document,
 )
 from .torusgraph import family_to_graph, graph_to_family
+
+
+def integer(text):
+    """An integer argument, spelled as in documents: an optional "-" and
+    ASCII digits only, where int() takes any Unicode digit."""
+    if not is_decimal(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _load_document(path):
@@ -154,7 +163,7 @@ def _cmd_generate(args):
     signs = None
     if args.signs:
         try:
-            signs = [int(s) for s in args.signs.split(",")]
+            signs = [integer(s) for s in args.signs.split(",")]
         except ValueError:
             raise DomainError(f"--signs must be a comma list of +1/-1, "
                               f"got {args.signs!r}") from None
@@ -195,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("blowdown", blow_down_in_family,
              "delete a vector equal to its neighbor sum")):
         p = sub.add_parser(name, help=about)
-        p.add_argument("--fan", type=int, required=True)
-        p.add_argument("--pos", type=int, required=True)
+        p.add_argument("--fan", type=integer, required=True)
+        p.add_argument("--pos", type=integer, required=True)
         p.add_argument("file")
         p.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
 
@@ -228,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("generate", help="seeded random family from unit fans")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--components", type=int, default=1)
-    p.add_argument("--blowups", type=int, default=0)
+    p.add_argument("--seed", type=integer, required=True)
+    p.add_argument("--components", type=integer, default=1)
+    p.add_argument("--blowups", type=integer, default=0)
     p.add_argument("--signs", help="comma list of +1/-1, one per component")
     p.set_defaults(func=_cmd_generate)
 

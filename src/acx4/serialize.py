@@ -34,12 +34,18 @@ Two summaries are text only, with no format tag and no parser:
 
 Their vectors follow the integer rule above; "a" and "euler_number" print as
 JSON numbers at any size.
+
+Emission builds the text from fixed %-templates for these shapes, with no
+tree of dicts in between; its bytes are exactly those of
+json.dumps(obj, indent=2) + "\n" on the equivalent tree.  Parsing names the
+path of the first fault, in reading order, and spells paths only then.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 
 from .classify import HirzebruchForm
 from .errors import MoveInapplicable, ParseError, UnknownFormat, digit_limit
@@ -54,6 +60,8 @@ FORMAT_LOG = "acx4-log/1"
 FORMAT_REPORT = "acx4-report/1"
 
 _JSON_SAFE_INT = (1 << 53) - 1
+
+_KINDS = (BLOW_UP, BLOW_DOWN)
 
 # the report's fields derived from its counts, in document order
 _REPORT_FIELDS = ("euler", "todd", "signature", "c1_sq", "c2")
@@ -78,57 +86,74 @@ def document_for(payload) -> Document:
 
 
 # --- decoding ----------------------------------------------------------------
+#
+# A reader gets a value and its path: "" at the top level, else a (parent
+# path, field name or array index) pair.  The path is spelled out, as in
+# "fans[0].vectors[1][0]", only when a ParseError is raised.
+
+def _spell(path) -> str:
+    steps = []
+    while path:
+        path, step = path
+        steps.append(f"[{step}]" if isinstance(step, int) else f".{step}")
+    return "".join(reversed(steps)).removeprefix(".")
+
+
+def _error(path, message) -> ParseError:
+    return ParseError(_spell(path) or "$", message)
+
 
 def _field(obj, key, path, read):
     """read(obj[key], its path), once obj is an object holding key."""
     if not isinstance(obj, dict):
-        raise ParseError(path or "$", "expected an object")
+        raise _error(path, "expected an object")
     if key not in obj:
-        raise ParseError(_join(path, key), "missing field")
-    return read(obj[key], _join(path, key))
-
-
-def _join(path, key):
-    return f"{path}.{key}" if path else key
+        raise _error((path, key), "missing field")
+    return read(obj[key], (path, key))
 
 
 def _each(read):
     """A reader of an array that reads each element with its [i] path."""
-    return lambda obj, path: [read(item, f"{path}[{i}]")
+    return lambda obj, path: [read(item, (path, i))
                               for i, item in enumerate(_list_from(obj, path))]
 
 
 def _int_from(obj, path) -> int:
     if isinstance(obj, bool):
-        raise ParseError(path, "expected an integer")
+        raise _error(path, "expected an integer")
     if isinstance(obj, int):
         return obj
-    if isinstance(obj, str):
-        body = obj[1:] if obj.startswith("-") else obj
-        if body.isascii() and body.isdigit():
-            try:
-                return int(obj)
-            except ValueError as exc:
-                # past the interpreter's int/str digit limit
-                raise ParseError(path, f"unreadable integer: {exc}") from None
-    raise ParseError(path, f"expected an integer, got {obj!r}")
+    if isinstance(obj, str) and is_decimal(obj):
+        try:
+            return int(obj)
+        except ValueError as exc:
+            # past the interpreter's int/str digit limit
+            raise _error(path, f"unreadable integer: {exc}") from None
+    raise _error(path, f"expected an integer, got {obj!r}")
+
+
+def is_decimal(text: str) -> bool:
+    """Whether text is an optional "-" and ASCII digits 0-9 only: the one
+    spelling of an integer that documents and the CLI accept."""
+    body = text[1:] if text.startswith("-") else text
+    return body.isascii() and body.isdigit()
 
 
 def _vec_from(obj, path):
     if not isinstance(obj, list) or len(obj) != 2:
-        raise ParseError(path, "expected a 2-element integer array")
-    return (_int_from(obj[0], f"{path}[0]"), _int_from(obj[1], f"{path}[1]"))
+        raise _error(path, "expected a 2-element integer array")
+    return (_int_from(obj[0], (path, 0)), _int_from(obj[1], (path, 1)))
 
 
 def _str_from(obj, path) -> str:
     if not isinstance(obj, str):
-        raise ParseError(path, f"expected a string, got {obj!r}")
+        raise _error(path, f"expected a string, got {obj!r}")
     return obj
 
 
 def _list_from(obj, path) -> list:
     if not isinstance(obj, list):
-        raise ParseError(path, "expected an array")
+        raise _error(path, "expected an array")
     return obj
 
 
@@ -152,7 +177,7 @@ def _graph_from(data, path) -> TorusGraph:
 
 def _family_tag(tag, path):
     if tag != FORMAT_FAMILY:
-        raise ParseError(path, f"expected {FORMAT_FAMILY!r}, got {tag!r}")
+        raise _error(path, f"expected {FORMAT_FAMILY!r}, got {tag!r}")
 
 
 def _embedded_family_from(data, path) -> MultiFanFamily:
@@ -162,12 +187,21 @@ def _embedded_family_from(data, path) -> MultiFanFamily:
 
 def _kind_from(obj, path) -> str:
     kind = _str_from(obj, path)
-    if kind not in (BLOW_UP, BLOW_DOWN):
-        raise ParseError(path, f"unknown move kind {kind!r}")
+    if kind not in _KINDS:
+        raise _error(path, f"unknown move kind {kind!r}")
     return kind
 
 
 def _move_from(obj, path) -> Move:
+    # a log holds thousands of moves: take a well-formed one as it is, and
+    # read any other field by field, which finds the first fault in order
+    if type(obj) is dict:
+        kind, fan, position, vector = (
+            obj.get("kind"), obj.get("fan"), obj.get("position"), obj.get("vector"))
+        if (kind in _KINDS and type(fan) is int and type(position) is int
+                and type(vector) is list and len(vector) == 2
+                and type(vector[0]) is int and type(vector[1]) is int):
+            return Move(kind, fan, position, (vector[0], vector[1]))
     return Move(_field(obj, "kind", path, _kind_from),
                 _field(obj, "fan", path, _int_from),
                 _field(obj, "position", path, _int_from),
@@ -181,21 +215,20 @@ def _log_from(data, path) -> MoveLog:
     try:
         replayed = replay(initial, moves)
     except MoveInapplicable as exc:
-        raise ParseError(_join(path, "moves"), str(exc)) from exc
+        raise _error((path, "moves"), str(exc)) from exc
     if replayed != final:
-        raise ParseError(_join(path, "final"),
-                         "does not match the replay of the moves")
+        raise _error((path, "final"), "does not match the replay of the moves")
     return MoveLog(initial, moves, final)
 
 
 def _counts_from(obj, path):
     if len(_list_from(obj, path)) != 3:
-        raise ParseError(path, "expected exactly 3 counts")
+        raise _error(path, "expected exactly 3 counts")
     a0, a1, a2 = _each(_int_from)(obj, path)
     if min(a0, a1, a2) < 0:
-        raise ParseError(path, "counts must be nonnegative")
+        raise _error(path, "counts must be nonnegative")
     if a0 != a2:
-        raise ParseError(path, "first and last counts must agree")
+        raise _error(path, "first and last counts must agree")
     return a0, a1, a2
 
 
@@ -206,8 +239,7 @@ def _report_from(data, path) -> ChiYReport:
     for key, got in zip(_REPORT_FIELDS, fields):
         want = getattr(report, key)
         if got != want:
-            raise ParseError(_join(path, key),
-                             f"inconsistent with the counts: expected {want}")
+            raise _error((path, key), f"inconsistent with the counts: expected {want}")
     return report
 
 
@@ -229,68 +261,91 @@ def parse_document(text: str) -> Document:
 
 
 # --- encoding ----------------------------------------------------------------
+#
+# Each shape is text built from fixed %-templates, given the indent p of the
+# line its value starts on; the bytes are those of json.dumps(obj, indent=2).
 
-def _enc_int(n: int):
-    return n if -_JSON_SAFE_INT <= n <= _JSON_SAFE_INT else str(n)
-
-
-def _enc_vec(v):
-    return [_enc_int(v[0]), _enc_int(v[1])]
-
-
-def _family_obj(fam: MultiFanFamily):
-    return {
-        "format": FORMAT_FAMILY,
-        "fans": [{"vectors": [_enc_vec(v) for v in fan.vectors]}
-                 for fan in fam.fans],
-    }
+def _int(n: int) -> str:
+    return "%d" % n if -_JSON_SAFE_INT <= n <= _JSON_SAFE_INT else '"%d"' % n
 
 
-def _graph_obj(g: TorusGraph):
-    return {
-        "format": FORMAT_GRAPH,
-        "vertices": list(g.vertices),
-        "edges": [{"from": e.src, "to": e.dst, "label": _enc_vec(e.label)}
-                  for e in g.edges],
-    }
+def _array(items, p) -> str:
+    """A JSON array of formatted items, its closing bracket at indent p."""
+    if not items:
+        return "[]"
+    inner = "\n" + p + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + p + "]"
 
 
-def _log_obj(log: MoveLog):
-    return {
-        "format": FORMAT_LOG,
-        "initial": _family_obj(log.initial),
-        "moves": [
-            {"kind": m.kind, "fan": m.fan_index, "position": m.position,
-             "vector": _enc_vec(m.vector)}
-            for m in log.moves
-        ],
-        "final": _family_obj(log.final),
-    }
+def _object(p, *fields) -> str:
+    """A JSON object of (key, formatted value) pairs, its brace at indent p."""
+    inner = "\n" + p + "  "
+    return ("{" + inner + ("," + inner).join('"%s": %s' % f for f in fields)
+            + "\n" + p + "}")
 
 
-def _report_obj(report: ChiYReport):
-    obj = {"format": FORMAT_REPORT, "a": [report.a0, report.a1, report.a2]}
-    obj.update((key, getattr(report, key)) for key in _REPORT_FIELDS)
-    return obj
+def _vec_template(p) -> str:
+    """The template of a vector of two integer texts, its bracket at indent p."""
+    return "[\n" + p + "  %s,\n" + p + "  %s\n" + p + "]"
 
 
-def _dumps(build) -> str:
-    with digit_limit():  # str() in _enc_int and json.dumps print every integer
-        return json.dumps(build(), indent=2) + "\n"
+def _vecs(vectors, p) -> str:
+    vec = _vec_template(p + "  ")
+    return _array([vec % (_int(x), _int(y)) for x, y in vectors], p)
+
+
+def _family_text(fam: MultiFanFamily, p) -> str:
+    fan = p + "    "
+    return _object(p, ("format", _string(FORMAT_FAMILY)),
+                   ("fans", _array([_object(fan, ("vectors", _vecs(f.vectors, fan + "  ")))
+                                    for f in fam.fans], p + "  ")))
+
+
+def _graph_text(g: TorusGraph, p) -> str:
+    edge = p + "    "
+    label = _vec_template(edge + "  ")
+    return _object(p, ("format", _string(FORMAT_GRAPH)),
+                   ("vertices", _array([_string(v) for v in g.vertices], p + "  ")),
+                   ("edges", _array([_object(edge, ("from", _string(e.src)),
+                                             ("to", _string(e.dst)),
+                                             ("label", label % (_int(e.label[0]),
+                                                                _int(e.label[1]))))
+                                     for e in g.edges], p + "  ")))
+
+
+def _log_text(log: MoveLog, p) -> str:
+    field = p + "      "  # a move's fields: the moves array sits two levels in
+    move = ("{\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
+            + field + '"position": %d,\n' + field + '"vector": '
+            + _vec_template(field) + "\n" + p + "    }")
+    return _object(p, ("format", _string(FORMAT_LOG)),
+                   ("initial", _family_text(log.initial, p + "  ")),
+                   ("moves", _array([move % (_string(m.kind), m.fan_index, m.position,
+                                             _int(m.vector[0]), _int(m.vector[1]))
+                                     for m in log.moves], p + "  ")),
+                   ("final", _family_text(log.final, p + "  ")))
+
+
+def _report_text(report: ChiYReport, p) -> str:
+    return _object(p, ("format", _string(FORMAT_REPORT)),
+                   ("a", _array(["%d" % report.a0, "%d" % report.a1, "%d" % report.a2],
+                                p + "  ")),
+                   *[(key, "%d" % getattr(report, key)) for key in _REPORT_FIELDS])
 
 
 def emit_document(doc: Document) -> str:
     """Deterministic text form of a document; parse(emit(d)) == d."""
     _, _, encode = _codec(doc.format)
-    return _dumps(lambda: encode(doc.payload))
+    with digit_limit():  # "%d" raises ValueError on an integer past it
+        return encode(doc.payload, "") + "\n"
 
 
 # tag -> (payload type, decoder, encoder)
 _FORMATS = {
-    FORMAT_FAMILY: (MultiFanFamily, _family_from, _family_obj),
-    FORMAT_GRAPH: (TorusGraph, _graph_from, _graph_obj),
-    FORMAT_LOG: (MoveLog, _log_from, _log_obj),
-    FORMAT_REPORT: (ChiYReport, _report_from, _report_obj),
+    FORMAT_FAMILY: (MultiFanFamily, _family_from, _family_text),
+    FORMAT_GRAPH: (TorusGraph, _graph_from, _graph_text),
+    FORMAT_LOG: (MoveLog, _log_from, _log_text),
+    FORMAT_REPORT: (ChiYReport, _report_from, _report_text),
 }
 
 
@@ -303,31 +358,43 @@ def _codec(tag):
 
 # --- summaries ---------------------------------------------------------------
 
-def _normal_form_obj(form):
+def _normal_form_text(form, p) -> str:
     if form is None:
-        return {"kind": "large"}
+        return _object(p, ("kind", _string("large")))
+    vec = _vec_template(p + "  ")
     if isinstance(form, HirzebruchForm):
-        return {"kind": "four", "v1": _enc_vec(form.v1), "v2": _enc_vec(form.v2),
-                "a": form.a, "rotation": form.rotation}
-    return {"kind": "three", "v1": _enc_vec(form[0]), "v2": _enc_vec(form[1])}
+        return _object(p, ("kind", _string("four")),
+                       ("v1", vec % (_int(form.v1[0]), _int(form.v1[1]))),
+                       ("v2", vec % (_int(form.v2[0]), _int(form.v2[1]))),
+                       ("a", "%d" % form.a), ("rotation", "%d" % form.rotation))
+    (x1, y1), (x2, y2) = form
+    return _object(p, ("kind", _string("three")),
+                   ("v1", vec % (_int(x1), _int(y1))), ("v2", vec % (_int(x2), _int(y2))))
+
+
+def _plumbing_text(piece, p) -> str:
+    return _object(p, ("euler_number", "%d" % piece.euler_number),
+                   ("sphere_weights", _vecs(piece.sphere_weights, p + "  ")))
 
 
 def emit_classification(rows) -> str:
     """Text of the classification summary, from one (fan, normal form,
     plumbing pieces) row per fan; the normal form is recognize_three's
     pair, recognize_four's HirzebruchForm, or None for any other length."""
-    return _dumps(lambda: {"fans": [
-        {"length": len(fan.vectors),
-         "normal_form": _normal_form_obj(form),
-         "plumbing": [{"euler_number": piece.euler_number,
-                       "sphere_weights": [_enc_vec(w) for w in piece.sphere_weights]}
-                      for piece in plumbing]}
-        for fan, form, plumbing in rows
-    ]})
+    with digit_limit():
+        return _object("", ("fans", _array([
+            _object("    ", ("length", "%d" % len(fan.vectors)),
+                    ("normal_form", _normal_form_text(form, "      ")),
+                    ("plumbing", _array([_plumbing_text(piece, "        ")
+                                         for piece in plumbing], "      ")))
+            for fan, form, plumbing in rows], "  "))) + "\n"
 
 
 def emit_normal_form(log: MoveLog, model: ComplexModel) -> str:
     """Text of the normal-form summary: the model a winding-one fan
     reduces to and the log of the moves that reach it."""
-    model_obj = {"name": model.name, "a": model.a, "rotation": model.rotation}
-    return _dumps(lambda: {"model": model_obj, "log": _log_obj(log)})
+    with digit_limit():
+        return _object("", ("model", _object("  ", ("name", _string(model.name)),
+                                             ("a", "%d" % model.a),
+                                             ("rotation", "%d" % model.rotation))),
+                       ("log", _log_text(log, "  "))) + "\n"

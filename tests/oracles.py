@@ -8,10 +8,12 @@ evidence the tests rely on.  The last sections are different: they keep
 the slower rewrite, reduction and canonical-form code that the library's
 fast paths replaced, built on the full validator, the normal-form
 readers that the library's direct readings replaced, the cycle walk as
-its docstring states it, and the exact-ratio SVG scaling, as the
-reference those paths must match exactly.
+its docstring states it, the exact-ratio SVG scaling, and the
+json.dumps(indent=2) emitter, as the reference those paths must match
+exactly.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -26,8 +28,10 @@ from acx4.errors import (
     NotToddOne,
     PreconditionViolated,
     UnknownVertex,
+    digit_limit,
 )
 from acx4.lattice import add, neg
+from acx4.serialize import FORMAT_FAMILY, FORMAT_GRAPH, FORMAT_LOG, FORMAT_REPORT
 from acx4.torusgraph import normalized_components
 
 
@@ -664,3 +668,83 @@ def reference_render_fan_svg(fam):
                 f'  <text x="{px(x)}" y="{py(y)}" font-size="12">({x},{y})</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# --- the replaced JSON emitter ------------------------------------------------
+#
+# serialize writes each document from fixed text templates.  The code below
+# is what it replaced: a tree of dicts and lists printed by
+# json.dumps(indent=2), whose bytes the templates must match exactly.
+
+_JSON_SAFE_INT = (1 << 53) - 1
+
+
+def _reference_int(n):
+    return n if -_JSON_SAFE_INT <= n <= _JSON_SAFE_INT else str(n)
+
+
+def _reference_vec(v):
+    return [_reference_int(v[0]), _reference_int(v[1])]
+
+
+def _reference_family_obj(fam):
+    return {"format": FORMAT_FAMILY,
+            "fans": [{"vectors": [_reference_vec(v) for v in fan.vectors]}
+                     for fan in fam.fans]}
+
+
+def _reference_log_obj(log):
+    return {"format": FORMAT_LOG,
+            "initial": _reference_family_obj(log.initial),
+            "moves": [{"kind": m.kind, "fan": m.fan_index, "position": m.position,
+                       "vector": _reference_vec(m.vector)} for m in log.moves],
+            "final": _reference_family_obj(log.final)}
+
+
+def _reference_document_obj(doc):
+    p = doc.payload
+    if doc.format == FORMAT_FAMILY:
+        return _reference_family_obj(p)
+    if doc.format == FORMAT_GRAPH:
+        return {"format": FORMAT_GRAPH, "vertices": list(p.vertices),
+                "edges": [{"from": e.src, "to": e.dst, "label": _reference_vec(e.label)}
+                          for e in p.edges]}
+    if doc.format == FORMAT_LOG:
+        return _reference_log_obj(p)
+    assert doc.format == FORMAT_REPORT
+    return {"format": FORMAT_REPORT, "a": [p.a0, p.a1, p.a2], "euler": p.euler,
+            "todd": p.todd, "signature": p.signature, "c1_sq": p.c1_sq, "c2": p.c2}
+
+
+def _reference_dumps(obj):
+    with digit_limit():
+        return json.dumps(obj, indent=2) + "\n"
+
+
+def reference_emit_document(doc):
+    return _reference_dumps(_reference_document_obj(doc))
+
+
+def _reference_normal_form_obj(form):
+    if form is None:
+        return {"kind": "large"}
+    if isinstance(form, acx4.HirzebruchForm):
+        return {"kind": "four", "v1": _reference_vec(form.v1),
+                "v2": _reference_vec(form.v2), "a": form.a, "rotation": form.rotation}
+    return {"kind": "three", "v1": _reference_vec(form[0]), "v2": _reference_vec(form[1])}
+
+
+def reference_emit_classification(rows):
+    return _reference_dumps({"fans": [
+        {"length": len(fan.vectors),
+         "normal_form": _reference_normal_form_obj(form),
+         "plumbing": [{"euler_number": piece.euler_number,
+                       "sphere_weights": [_reference_vec(w) for w in piece.sphere_weights]}
+                      for piece in plumbing]}
+        for fan, form, plumbing in rows]})
+
+
+def reference_emit_normal_form(log, model):
+    return _reference_dumps({
+        "model": {"name": model.name, "a": model.a, "rotation": model.rotation},
+        "log": _reference_log_obj(log)})

@@ -457,3 +457,29 @@ def test_render_graph_document(tmp_path, capsys):
     assert capsys.readouterr().out == acx4.render_graph_dot(g)
     assert cli_main(["render", "--format", "tikz", path]) == 0
     assert capsys.readouterr().out == acx4.render_graph_tikz(g)
+
+
+ARABIC_ONE = "١"  # an Arabic-Indic digit one, which int() reads as 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", ARABIC_ONE],
+    ["generate", "--seed", "1", "--components", "٢"],
+    ["generate", "--seed", "1", "--blowups", "３"],
+    ["generate", "--seed", "-" + ARABIC_ONE],
+    ["blowup", "--fan", "٠", "--pos", "0", "fam.json"],
+    ["blowdown", "--fan", "0", "--pos", "٠", "fam.json"],
+], ids=["seed", "components", "full-width-blowups", "negative-seed", "fan", "pos"])
+def test_integer_arguments_take_ascii_digits_only(argv, capsys):
+    assert cli_main(argv) == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signs", [ARABIC_ONE, f"1,-{ARABIC_ONE}", "1, -1", "1_0"])
+def test_signs_take_ascii_digits_only(signs, capsys):
+    assert cli_main(["generate", "--seed", "1", "--components", "2", "--signs", signs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --signs must be a comma list of +1/-1, got {signs!r}\n"
+    assert cli_main(["generate", "--seed", "1", "--components", "2",
+                     "--signs=-1,1"]) == 0

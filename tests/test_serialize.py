@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import acx4
+import oracles
 from acx4.errors import DomainError, NotABasis, ParseError, UnknownFormat
 from acx4.serialize import (
     FORMAT_FAMILY,
@@ -272,6 +273,10 @@ MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
      "moves[0].fan", "expected an integer, got 'x'"),
     (MOVE_LOG % '{"kind": "blow_up", "fan": 0, "position": 0}',
      "moves[0].vector", "missing field"),
+    (MOVE_LOG % '{"kind": "blow_up", "fan": "x", "position": 0}',
+     "moves[0].fan", "expected an integer, got 'x'"),
+    (MOVE_LOG % '{"kind": "blow_up", "fan": 0, "position": 0, "vector": [1, true]}',
+     "moves[0].vector[1]", "expected an integer"),
     ('{"format": "acx4-log/1", "initial": %s, "moves": {}}' % (FANS % "-1"),
      "final", "missing field"),
     (LOG_DOC % (FANS % "true", "[]", FANS % "-1"),
@@ -285,6 +290,7 @@ MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
         "edge-not-object", "edge-without-to", "edge-from-not-string",
         "label-not-pair", "edges-object", "initial-is-graph", "moves-object",
         "move-not-object", "unknown-kind", "fan-not-integer", "move-without-vector",
+        "move-with-two-faults", "true-in-move-vector",
         "log-without-final", "initial-true-coordinate", "final-true-coordinate",
         "report-without-c2", "count-not-integer"])
 def test_malformed_fields_name_their_path(text, path, message):
@@ -292,3 +298,92 @@ def test_malformed_fields_name_their_path(text, path, message):
         parse_document(text)
     assert exc.value.path == path
     assert str(exc.value) == f"{path}: {message}"
+
+
+# --- byte identity with json.dumps(indent=2) ---------------------------------
+
+SAFE = (1 << 53) - 1
+ODD_NAMES = ['a"b', "back\\slash", "tab\tnew\nline\x00\x1f", "café", "١٢",
+             "\U0001d54f"]
+
+
+def classification_rows(fam):
+    """The rows acx4 classify builds, one per fan."""
+    rows = []
+    for fan in fam.fans:
+        k = len(fan.vectors)
+        form = (acx4.recognize_three(fan) if k == 3 else
+                acx4.recognize_four(fan) if k == 4 else None)
+        rows.append((fan, form, acx4.plumbing_description(fan)))
+    return rows
+
+
+def assert_emits_match_reference(fam):
+    """Every format and the classification of one family, byte for byte."""
+    _, log = acx4.reduce_to_minimal(fam)
+    for payload in (fam, acx4.family_to_graph(fam), log, acx4.chi_y_report(fam)):
+        doc = document_for(payload)
+        assert emit_document(doc) == oracles.reference_emit_document(doc)
+    rows = classification_rows(fam)
+    assert emit_classification(rows) == oracles.reference_emit_classification(rows)
+
+
+def test_edge_documents_match_json_dumps():
+    big = [SAFE, -SAFE, SAFE + 1, -SAFE - 1]
+    fams = [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), n),))
+            for n in big]
+    moves = tuple(acx4.Move(kind, 0, 1, (x, y))
+                  for kind in (acx4.BLOW_UP, acx4.BLOW_DOWN)
+                  for x in big for y in big)
+    docs = [document_for(payload) for fam in fams for payload in (
+        fam, acx4.family_to_graph(fam), acx4.MoveLog(fam, (), fam),
+        acx4.MoveLog(fam, moves, fams[0]))]
+    names = ODD_NAMES[:4]
+    edges = [(names[i], names[(i + 1) % 4], v)
+             for i, v in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)])]
+    docs += [document_for(acx4.validate_graph(names, edges)),
+             document_for(acx4.TorusGraph((), ())),
+             document_for(acx4.TorusGraph(tuple(ODD_NAMES), ())),
+             document_for(acx4.chi_y_report(fams[0]))]
+    for doc in docs:
+        assert emit_document(doc) == oracles.reference_emit_document(doc)
+    for fam in fams:
+        rows = classification_rows(fam) + [(fam.fans[0], None, [])]
+        assert emit_classification(rows) == oracles.reference_emit_classification(rows)
+    assert emit_classification([]) == oracles.reference_emit_classification([])
+    model = acx4.ComplexModel(ODD_NAMES[0] + ODD_NAMES[3], SAFE + 1, 3)
+    for log in (acx4.MoveLog(fams[2], (), fams[3]), acx4.MoveLog(fams[0], moves, fams[1])):
+        assert emit_normal_form(log, model) == oracles.reference_emit_normal_form(log, model)
+
+
+def test_every_normal_form_kind_matches_json_dumps():
+    fams = [cp2_family(),  # three
+            acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), -7),)),  # four
+            acx4.gen_random_family(3, 1, 4),  # large
+            acx4.gen_random_family(9, 3, 2)]  # all three at once
+    kinds = set()
+    for fam in fams:
+        assert_emits_match_reference(fam)
+        kinds |= {type(form) for _, form, _ in classification_rows(fam)}
+    assert kinds == {tuple, acx4.HirzebruchForm, type(None)}
+
+
+def test_criterion_4_documents_match_json_dumps(criterion_4_reductions):
+    # every log, which holds both families; the other shapes on every tenth seed
+    for seed, (fam, _, log) in enumerate(criterion_4_reductions):
+        doc = document_for(log)
+        assert emit_document(doc) == oracles.reference_emit_document(doc)
+        if seed % 10 == 0:
+            for payload in (acx4.family_to_graph(fam), acx4.chi_y_report(fam)):
+                doc = document_for(payload)
+                assert emit_document(doc) == oracles.reference_emit_document(doc)
+            rows = classification_rows(fam)
+            assert emit_classification(rows) == oracles.reference_emit_classification(rows)
+
+
+def test_euclid_documents_match_json_dumps():
+    for n in range(1, 301):
+        fan = acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)])
+        assert_emits_match_reference(acx4.MultiFanFamily((fan,)))
+        log, model = acx4.normalize_complex(fan)
+        assert emit_normal_form(log, model) == oracles.reference_emit_normal_form(log, model)

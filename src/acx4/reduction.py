@@ -63,7 +63,7 @@ BLOW_UP = "blow_up"
 BLOW_DOWN = "blow_down"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a log holds thousands of moves
 class Move:
     """One rewrite step; the vector is recorded so logs audit themselves.
 

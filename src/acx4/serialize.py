@@ -118,6 +118,13 @@ def _each(read):
                               for i, item in enumerate(_list_from(obj, path))]
 
 
+def is_decimal(text: str) -> bool:
+    """Whether text is an optional "-" and ASCII digits 0-9 only: the one
+    spelling of an integer that documents and the CLI accept."""
+    body = text[1:] if text.startswith("-") else text
+    return body.isascii() and body.isdigit()
+
+
 def _int_from(obj, path) -> int:
     if isinstance(obj, bool):
         raise _error(path, "expected an integer")
@@ -130,13 +137,6 @@ def _int_from(obj, path) -> int:
             # past the interpreter's int/str digit limit
             raise _error(path, f"unreadable integer: {exc}") from None
     raise _error(path, f"expected an integer, got {obj!r}")
-
-
-def is_decimal(text: str) -> bool:
-    """Whether text is an optional "-" and ASCII digits 0-9 only: the one
-    spelling of an integer that documents and the CLI accept."""
-    body = text[1:] if text.startswith("-") else text
-    return body.isascii() and body.isdigit()
 
 
 def _vec_from(obj, path):

@@ -78,7 +78,7 @@ def is_int(value) -> bool:
 
 def as_int(value, name) -> int:
     """value, once it is an integer; a DomainError names it otherwise."""
-    if not is_int(value):
+    if type(value) is not int and not is_int(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return value
 

@@ -23,13 +23,36 @@ Beside each list it keeps the squared norms in blocks of about sqrt(k)
 with cached block maxima, so finding the first longest vector and updating
 after a move cost O(sqrt(k)) rather than a pass over the family.
 
+Runs are solved in closed form.  An a = 0 iteration only replaces w by
+w + delta, delta = side*w1, and leaves its neighbors alone (unless it
+blows up the wrapping pair at position 0, which rotates the list).  When
+the last p <= 4 iterations are such steps at the same places and sides as
+the p before them, and none of them touches another's neighbors, every
+further repeat shifts each of those vectors by its own fixed delta: the
+Hirzebruch-Jung continued-fraction step (Fulton, 2.6), one division of
+the subtractive Euclid.  Each choice the engine makes in repeat r (which
+vector is first longest, with the tie-break; the reduction_choice side;
+that the inserted vector is strictly shorter than the one removed) is a
+quadratic inequality in r, so isqrt gives the exact number q of repeats
+that keep them all.  The engine sets the vectors to their values after
+q - 1 repeats, expands those moves into the log from the closed form, and
+runs the last repeat as ordinary iterations, which must make the
+predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2, 4.5.3) a fan
+with coordinates of size N has O(log N) runs, so the cost is O(runs *
+log N) arithmetic plus one Move per logged move.  A log is capped at
+MAX_MOVES moves: past that the engine raises DomainError before it builds
+the moves.
+
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule
 (Dershowitz-Manna, CACM 1979): the one vector removed is the maximum and
 every vector inserted is strictly shorter.  It also checks the bound on
-a, raising InternalInconsistency if either ever fails.  An iteration costs
-O(sqrt(k)) outside the kernel's list edits; replay is linear in the number
-of moves apart from those edits.
+a, raising InternalInconsistency if either ever fails.  The checks cover
+every iteration a run stands for: along a run, a and each determinant the
+kernel checks are polynomials of degree at most two in r, checked in the
+two repeats that revealed the run and in its last one, and three equal
+values prove such a polynomial constant.  Replay is linear in the number
+of moves apart from the kernel's list edits.
 """
 
 from __future__ import annotations
@@ -37,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from math import isqrt
+from math import inf, isqrt
 
 from . import lattice
 from .errors import (
@@ -61,6 +84,14 @@ from .multifan import (
 
 BLOW_UP = "blow_up"
 BLOW_DOWN = "blow_down"
+
+# The longest move log the engine builds, about 160 MB of Moves; a reduction
+# that needs more raises DomainError before its log grows past it.
+MAX_MOVES = 10**6
+
+# The longest block of iterations a run repeats: two fans of the euclid
+# shape that tie on norm take turns, two a = 0 steps each.
+_MAX_BLOCK = 4
 
 
 @dataclass(frozen=True, slots=True)  # slots: a log holds thousands of moves
@@ -187,6 +218,10 @@ class _NormBlocks:
             self.maxima[b] = max(block)
         return n
 
+    def replace(self, p, n):
+        self.delete(p)
+        self.insert(p, n)
+
     def top(self):
         return max(self.maxima)
 
@@ -196,9 +231,13 @@ class _NormBlocks:
         return sum(map(len, self.blocks[:b])) + self.blocks[b].index(n)
 
 
-def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
-    """The move script removing vector i of fan j (the current longest);
-    vs is that fan's vector list and eps its orientation."""
+def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
+    """The move script removing vector i of fan j (the current longest),
+    and its run key; vs is that fan's vector list and eps its orientation.
+
+    The key is (j, i, side) for an a = 0 iteration that only replaces
+    v[i] by v[i] + side*v[i-1], and None for any other.
+    """
     k = len(vs)
     w1 = vs[(i - 1) % k]
     w = vs[i]
@@ -209,9 +248,11 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
             f"self-intersection {a} at the longest vector {w}; neighbors "
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
-        return [Move(BLOW_DOWN, j, i, w)]
+        return [Move(BLOW_DOWN, j, i, w)], None
     # the side to blow up: both for a = +1 (side 0), else the shorter sum
     side = 0 if a == 1 else lattice.reduction_choice(w1, w)
+    # side +1 at i = 0 blows up the wrapping pair, which rotates the list
+    key = (j, i, side) if side == -1 or side == 1 and i else None
     moves = []
     if side != -1:
         moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
@@ -219,7 +260,113 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
         i = i + 1 if i else 0
     if side != 1:
         moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
-    return moves + [Move(BLOW_DOWN, j, i, w)]
+    return moves + [Move(BLOW_DOWN, j, i, w)], key
+
+
+def _check_bound(count):
+    if count > MAX_MOVES:
+        raise DomainError(f"reduction needs at least {count} moves, "
+                          f"more than MAX_MOVES = {MAX_MOVES}")
+
+
+def _repeated_block(keys, fans):
+    """The last p run keys when they repeat the p keys before them and
+    none of their iterations touches another's neighbors; None when no
+    p <= _MAX_BLOCK does."""
+    key = keys[-1]
+    for p in range(1, min(_MAX_BLOCK, len(keys) // 2) + 1):
+        if keys[-1 - p] != key:
+            continue
+        block = keys[-p:]
+        if block == keys[-2 * p : -p] and all(
+                j != j2 or (i - i2) % len(fans[j]) not in (0, 1, len(fans[j]) - 1)
+                for n, (j, i, _) in enumerate(block) for j2, i2, _ in block[n + 1 :]):
+            return block
+    return None
+
+
+def _quad(u, d):
+    # norm_sq(u + r*d) as the coefficients of a polynomial in r
+    return lattice.norm_sq(d), 2 * lattice.dot(u, d), lattice.norm_sq(u)
+
+
+def _first_failure(a, b, c):
+    """The least integer r >= 0 with a*r*r + b*r + c <= 0, or inf.
+
+    For c > 0 the quadratic first reaches 0 past r = 0 at
+    x = (-b - sqrt(d)) / 2a, its smaller root if a > 0 and its larger one
+    if a < 0; the answer is ceil(x) unless (a > 0) no integer lies between
+    the roots.  isqrt(d) pins ceil(x) to three integers, each tested.
+    """
+    if c <= 0:
+        return 0
+    if a == 0:
+        return -(c // b) if b < 0 else inf  # ceil(c / -b)
+    d = b * b - 4 * a * c
+    if d < 0 or a > 0 and b >= 0:
+        return inf
+    s = isqrt(d)
+    lo = min((-b - s - 1) // (2 * a), (-b - s) // (2 * a))
+    for r in range(max(lo, 1), lo + 3):
+        if (a * r + b) * r + c <= 0:
+            return r
+    return inf
+
+
+def _jump(block, fans, norms, moves) -> bool:
+    """Take all but the last repeat of a repeating block in closed form.
+
+    Repeat r of the block's iteration m at place (j, i) replaces
+    w = v[i] + r*delta by w + delta.  It is the engine's own iteration
+    while w's norm is above 1 and beats every vector before (j, i)
+    strictly and every one after it weakly, and w + delta is strictly
+    shorter than w (reduction_choice then picks side).  The first r that
+    fails one of these quadratic inequalities ends the run after q
+    repeats.  For q >= 2 the vectors move to their values after q - 1
+    repeats and the moves join the log; the result says whether they did.
+    """
+    places = [(j, i) for j, i, _ in block]
+    start = [fans[j][i] for j, i in places]
+    deltas = [(side * fans[j][i - 1][0], side * fans[j][i - 1][1])
+              for j, i, side in block]
+    # the longest vector the run leaves alone, and its first place
+    for j, i in places:
+        norms[j].replace(i, 0)
+    top = max(blocks.top() for blocks in norms)
+    zj = next(t for t, blocks in enumerate(norms) if blocks.top() == top)
+    still = (zj, norms[zj].first(top))
+    bounds = []
+    for m, (place, w, d) in enumerate(zip(places, start, deltas)):
+        qa, qb, qc = _quad(w, d)
+        floor = max(2, top + (still < place))
+        # norm(r) - norm(r + 1) > 0, and norm(r) >= floor
+        bounds += [(0, -2 * qa, -qa - qb), (qa, qb, qc - floor + 1)]
+        for m2, (place2, w2, d2) in enumerate(zip(places, start, deltas)):
+            if m2 != m:
+                # an earlier iteration of the block has taken its repeat r
+                ra, rb, rc = _quad(lattice.add(w2, d2) if m2 < m else w2, d2)
+                bounds.append((qa - ra, qb - rb, qc - rc + 1 - (place2 < place)))
+    # finite: norm(r) is a convex quadratic in r, so it stops falling
+    q = min(_first_failure(*bound) for bound in bounds)
+    if q >= 2:
+        _check_bound(len(moves) + 2 * len(block) * q)
+    ends = list(start)
+    steps = [(j, i if side < 0 else i - 1, i if side < 0 else i + 1, d)
+             for (j, i, side), d in zip(block, deltas)]
+    append = moves.append
+    for _ in range(q - 1):
+        for m, (j, up, down, (dx, dy)) in enumerate(steps):
+            w = ends[m]
+            ends[m] = nxt = (w[0] + dx, w[1] + dy)
+            append(Move(BLOW_UP, j, up, nxt))
+            append(Move(BLOW_DOWN, j, down, w))
+    for (j, i), w in zip(places, ends):
+        fans[j][i] = w
+        norms[j].replace(i, lattice.norm_sq(w))
+    return q >= 2
+
+
+_RUN_MISSED = "the iterations after a jump are not the last repeat of its run"
 
 
 def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
@@ -227,12 +374,15 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
 
     Returns the minimal family and a replayable log; an already minimal
     family yields an empty log.  Fans are never reordered, merged, or
-    dropped, and each keeps its winding number throughout.
+    dropped, and each keeps its winding number throughout.  A reduction
+    needing more than MAX_MOVES moves raises DomainError.
     """
     fans = _lists(fam)
     norms = [_NormBlocks(vs) for vs in fans]
     signs = [orientation(fan) for fan in fam.fans]
     moves = []
+    keys = []  # the latest run keys, none of them None, since the last jump
+    expect = []  # the keys of a run's last repeat, still to come
     while True:
         # the first fan holding the strictly largest norm > 1
         longest, j = 1, None
@@ -242,7 +392,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
                 longest, j = n, t
         if j is None:
             break
-        step = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
+        step, key = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
         removed = []
         grew = False
         for mv in step:
@@ -258,7 +408,22 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
         if grew or removed != [longest]:
             raise InternalInconsistency(
                 "norm profile failed to decrease in an iteration")
+        if expect and key != expect.pop(0):
+            raise InternalInconsistency(_RUN_MISSED)
+        _check_bound(len(moves) + len(step))
         moves.extend(step)
+        if key is None:
+            keys.clear()  # no block holds this iteration
+            continue
+        keys.append(key)
+        if len(keys) > 2 * _MAX_BLOCK:
+            del keys[0]
+        block = _repeated_block(keys, fans)
+        if block and _jump(block, fans, norms, moves):
+            keys.clear()
+            expect = block
+    if expect:
+        raise InternalInconsistency(_RUN_MISSED)
     state = _family(fans)
     for fan in state.fans:
         if not is_minimal_fan(fan):

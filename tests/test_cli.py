@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -423,6 +424,24 @@ def test_cli_survives_structured_mutations(tmp_path, capsys):
             assert code == expected, (name, argv, captured.err)
             if code != 0:
                 assert captured.err, (name, argv)
+
+
+@pytest.mark.parametrize("fan", [
+    acx4.make_hirzebruch_fan((1, 0), (0, 1), 2**53),
+    acx4.make_hirzebruch_fan((1, 0), (0, 1), 10**20),
+    acx4.validate_multifan([(1, 0), (10**20, 1), (-10**20 - 1, -1)]),
+], ids=["hirzebruch-2^53", "hirzebruch-1e20", "euclid-1e20"])
+@pytest.mark.parametrize("command", ["minimize", "normalize-complex"])
+def test_reductions_past_max_moves_exit_1(command, fan, tmp_path, capsys):
+    path = write_family(tmp_path, "big.json", acx4.MultiFanFamily((fan,)))
+    start = time.perf_counter()
+    assert cli_main([command, path]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: reduction needs at least ")
+    assert captured.err.endswith("moves, more than MAX_MOVES = 1000000\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_commands_refuse_the_wrong_document_kind(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 import acx4
+from acx4 import reduction
 from acx4.errors import DomainError, MoveInapplicable, NotToddOne
 from acx4.reduction import BLOW_DOWN, BLOW_UP, Move
 
@@ -169,3 +170,28 @@ def test_norm_profile_decreases_per_iteration_groups():
             assert new_profile < profile
             profile = new_profile
         assert state == log.final
+
+
+def euclid(n):
+    return acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)])
+
+
+@pytest.mark.parametrize("fan", [sigma(2**53), sigma(10**20), euclid(10**20)],
+                         ids=["hirzebruch-2^53", "hirzebruch-1e20", "euclid-1e20"])
+def test_reductions_past_max_moves_are_refused(fan):
+    # refused from the run's closed form, before any of its moves is built
+    with pytest.raises(DomainError, match=f"more than MAX_MOVES = {10**6}$"):
+        acx4.reduce_to_minimal(family_of(fan))
+    with pytest.raises(DomainError, match="MAX_MOVES"):
+        acx4.normalize_complex(fan)
+
+
+def test_max_moves_bounds_the_log_exactly(monkeypatch):
+    # euclid(100) takes 403 moves, most of them in one run; CP2 takes 3
+    # in single steps
+    for fan, count in ((euclid(100), 403), (CP2, 3)):
+        monkeypatch.setattr(reduction, "MAX_MOVES", count)
+        assert len(acx4.reduce_to_minimal(family_of(fan))[1].moves) == count
+        monkeypatch.setattr(reduction, "MAX_MOVES", count - 1)
+        with pytest.raises(DomainError, match=f"more than MAX_MOVES = {count - 1}"):
+            acx4.reduce_to_minimal(family_of(fan))

@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 import acx4
-from acx4 import lattice
+from acx4 import lattice, reduction
 from acx4.errors import (
     DomainError,
     IndexOutOfRange,
@@ -82,10 +82,100 @@ def test_logs_match_reference_in_every_case():
     assert seen == {1, 2, 3}
 
 
+def hirzebruch_fan(n):
+    return acx4.make_hirzebruch_fan((1, 0), (0, 1), n)
+
+
+def random_sl2(rng, bound):
+    """A matrix ((a, b), (c, d)) of determinant 1 with entries up to bound."""
+    while True:
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        g, p, q = oracles.extended_gcd(a, c)
+        if abs(g) == 1:
+            break
+    # a*d - b*c = 1 for (b, d) = g*(-q, p), shifted along (a, c) to be short
+    b, d = -g * q, g * p
+    t = -(a * b + c * d) // (a * a + c * c)
+    return (a, b + t * a), (c, d + t * c)
+
+
+def image(matrix, fan):
+    (a, b), (c, d) = matrix
+    return acx4.validate_multifan([(a * x + b * y, c * x + d * y)
+                                   for x, y in fan.vectors])
+
+
 def test_logs_match_reference_on_euclid_fans():
-    for n in list(range(1, 61)) + [500]:
+    # a run of two a = 0 steps whose vectors tie on norm at positions 1, 3
+    for n in range(1, 501):
         log = assert_same_reduction(euclid_family(n))
         assert len(log.moves) == 4 * n + 3
+
+
+def test_normalize_complex_matches_reference_on_hirzebruch_fans():
+    # a run of one a = 0 step at position 2, shrinking toward either side
+    for n in list(range(-200, 0)) + list(range(1, 201)):
+        fan = hirzebruch_fan(n)
+        log, model = acx4.normalize_complex(fan)
+        assert_reference_agrees(acx4.MultiFanFamily((fan,)), log.final, log)
+        assert len(log.moves) == 2 * abs(n)
+        assert (log, model) == oracles.reference_normalize_complex(fan)
+
+
+def test_logs_match_reference_on_sl2_images():
+    # a change of basis moves where the runs end and how norms tie
+    rng = random.Random(0x51)
+    for _ in range(25):
+        matrix = random_sl2(rng, 10**3)
+        assert abs(max(map(abs, matrix[0] + matrix[1]))) <= 10**3
+        for fan in (euclid_family(rng.randint(1, 60)).fans[0],
+                    hirzebruch_fan(rng.choice([-1, 1]) * rng.randint(1, 60))):
+            assert_same_reduction(acx4.MultiFanFamily((image(matrix, fan),)))
+
+
+def test_logs_match_reference_on_two_fan_runs():
+    # both fans hold runs; equal fans tie on the longest norm across fans,
+    # so a run's block takes turns between them
+    euclid = [euclid_family(n).fans[0] for n in (7, 40)]
+    hirzebruch = [hirzebruch_fan(n) for n in (7, -40)]
+    rng = random.Random(0x52)
+    turned = [image(random_sl2(rng, 30), fan) for fan in euclid + hirzebruch]
+    fans = euclid + hirzebruch + turned
+    for f1 in fans:
+        for f2 in fans:
+            assert_same_reduction(acx4.MultiFanFamily((f1, f2)))
+    for n in (5, 40):
+        assert_same_reduction(acx4.MultiFanFamily(euclid_family(n).fans * 3))
+
+
+def test_runs_take_few_checked_iterations(monkeypatch):
+    # the closed form stands for all but a run's first two and last
+    # repeats; the stepwise engine would take 2*10**4 and 10**5 iterations
+    calls = []
+    real = reduction._iteration_moves
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "_iteration_moves", counted)
+    _, log = acx4.reduce_to_minimal(euclid_family(10**4))
+    assert len(log.moves) == 4 * 10**4 + 3
+    assert len(calls) < 64
+    calls.clear()
+    log, _ = acx4.normalize_complex(hirzebruch_fan(10**5))
+    assert len(log.moves) == 2 * 10**5
+    assert len(calls) < 64
+
+
+def test_engine_refuses_a_run_past_its_end(monkeypatch):
+    # with one repeat too many the closed form also takes the last repeat,
+    # which the engine must then find missing
+    real = reduction._first_failure
+    monkeypatch.setattr(reduction, "_first_failure", lambda *c: real(*c) + 1)
+    for fan in (euclid_family(50).fans[0], hirzebruch_fan(50)):
+        with pytest.raises(InternalInconsistency, match="last repeat of its run"):
+            acx4.reduce_to_minimal(acx4.MultiFanFamily((fan,)))
 
 
 def test_logs_match_reference_on_growing_fans():
@@ -113,6 +203,24 @@ def test_engine_checks_each_step_by_the_multiset_rule(monkeypatch):
     fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 3),))
     with pytest.raises(InternalInconsistency, match="norm profile"):
         acx4.reduce_to_minimal(fam)
+
+
+def test_engine_checks_the_last_repeat_of_a_run(monkeypatch):
+    # the wrong sign from the third a = 0 step on: the first two reveal a
+    # run of 50, and the fault lies in its last repeat, the one the engine
+    # still takes step by step
+    real = lattice.reduction_choice
+    calls = []
+
+    def faulty(v1, v2):
+        calls.append(v2)
+        return real(v1, v2) * (-1 if len(calls) > 2 else 1)
+
+    monkeypatch.setattr(lattice, "reduction_choice", faulty)
+    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 50),))
+    with pytest.raises(InternalInconsistency, match="norm profile"):
+        acx4.reduce_to_minimal(fam)
+    assert calls[2] != (-1, 48)
 
 
 # --- canonical form -----------------------------------------------------------

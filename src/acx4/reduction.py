@@ -263,10 +263,9 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
     return moves + [Move(BLOW_DOWN, j, i, w)], key
 
 
-def _check_bound(count):
-    if count > MAX_MOVES:
-        raise DomainError(f"reduction needs at least {count} moves, "
-                          f"more than MAX_MOVES = {MAX_MOVES}")
+def _too_many(count):
+    return DomainError(f"reduction needs at least {count} moves, "
+                       f"more than MAX_MOVES = {MAX_MOVES}")
 
 
 def _repeated_block(keys, fans):
@@ -348,8 +347,9 @@ def _jump(block, fans, norms, moves) -> bool:
                 bounds.append((qa - ra, qb - rb, qc - rc + 1 - (place2 < place)))
     # finite: norm(r) is a convex quadratic in r, so it stops falling
     q = min(_first_failure(*bound) for bound in bounds)
-    if q >= 2:
-        _check_bound(len(moves) + 2 * len(block) * q)
+    count = len(moves) + 2 * len(block) * q
+    if count > MAX_MOVES:
+        raise _too_many(count)
     ends = list(start)
     steps = [(j, i if side < 0 else i - 1, i if side < 0 else i + 1, d)
              for (j, i, side), d in zip(block, deltas)]
@@ -410,8 +410,9 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
                 "norm profile failed to decrease in an iteration")
         if expect and key != expect.pop(0):
             raise InternalInconsistency(_RUN_MISSED)
-        _check_bound(len(moves) + len(step))
         moves.extend(step)
+        if len(moves) > MAX_MOVES:
+            raise _too_many(len(moves))
         if key is None:
             keys.clear()  # no block holds this iteration
             continue

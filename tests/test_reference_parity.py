@@ -197,30 +197,22 @@ def test_replay_matches_reference():
 
 def test_engine_checks_each_step_by_the_multiset_rule(monkeypatch):
     # the wrong sign in an a = 0 step inserts a vector longer than the one
-    # it replaces; the Dershowitz-Manna check must refuse that step
+    # it replaces; the Dershowitz-Manna check must refuse that step, also
+    # when it is the last repeat of a run: on n = 50 the first two steps
+    # reveal a run of 50, and the faulty third one ends it
     real = lattice.reduction_choice
-    monkeypatch.setattr(lattice, "reduction_choice", lambda v1, v2: -real(v1, v2))
-    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 3),))
-    with pytest.raises(InternalInconsistency, match="norm profile"):
-        acx4.reduce_to_minimal(fam)
+    for n, right, last in ((3, 0, (-1, 3)), (50, 2, (-1, 1))):
+        calls = []
 
+        def faulty(v1, v2):
+            calls.append(v2)
+            return real(v1, v2) * (1 if len(calls) <= right else -1)
 
-def test_engine_checks_the_last_repeat_of_a_run(monkeypatch):
-    # the wrong sign from the third a = 0 step on: the first two reveal a
-    # run of 50, and the fault lies in its last repeat, the one the engine
-    # still takes step by step
-    real = lattice.reduction_choice
-    calls = []
-
-    def faulty(v1, v2):
-        calls.append(v2)
-        return real(v1, v2) * (-1 if len(calls) > 2 else 1)
-
-    monkeypatch.setattr(lattice, "reduction_choice", faulty)
-    fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), 50),))
-    with pytest.raises(InternalInconsistency, match="norm profile"):
-        acx4.reduce_to_minimal(fam)
-    assert calls[2] != (-1, 48)
+        monkeypatch.setattr(lattice, "reduction_choice", faulty)
+        fam = acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), n),))
+        with pytest.raises(InternalInconsistency, match="norm profile"):
+            acx4.reduce_to_minimal(fam)
+        assert calls[-1] == last
 
 
 # --- canonical form -----------------------------------------------------------

@@ -10,11 +10,11 @@ determines: winding numbers, the count triple (a0, a1, a2), Euler
 characteristic, Todd genus, signature, and Chern numbers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
-    FixedPointDatum,
     HirzebruchForm,
     PlumbingPiece,
-    fixed_point_data,
     make_cp2_fan,
     make_hirzebruch_fan,
     make_minimal_family,
@@ -51,6 +51,7 @@ from .multifan import (
     canonical_form,
     family_union,
     fans_equivalent,
+    fixed_point_weights,
     is_minimal_fan,
     orientation,
     self_intersections,
@@ -64,7 +65,6 @@ from .reduction import (
     ComplexModel,
     Move,
     MoveLog,
-    apply_move,
     normalize_complex,
     reduce_to_minimal,
     replay,
@@ -86,13 +86,12 @@ from .torusgraph import (
     blow_down_graph,
     blow_up_graph,
     family_to_graph,
-    gkm_relations,
     graph_to_family,
-    is_connected,
     is_minimal_graph,
     normalize_orientation,
     validate_graph,
     weights_at,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -27,19 +27,11 @@ from .multifan import (
     as_int,
     as_vec,
     blow_up_inplace,
+    fixed_point_weights,
     is_int,
     self_intersections,
     validate_multifan,
 )
-
-
-@dataclass(frozen=True)
-class FixedPointDatum:
-    """One fixed point: its fan, position, and weight pair (v[i], -v[i-1])."""
-
-    fan_index: int
-    position: int
-    weights: tuple[Vec, Vec]
 
 
 @dataclass(frozen=True)
@@ -66,26 +58,10 @@ def _positive(name, value):
         raise NonPositiveInput(name, value)
 
 
-def fixed_point_data(fam: MultiFanFamily) -> list[FixedPointDatum]:
-    """All fixed points of the family with their tangent weight pairs."""
-    data = []
-    for j, fan in enumerate(fam.fans):
-        vs = fan.vectors
-        data.extend(
-            FixedPointDatum(j, i, (vs[i], lattice.neg(vs[i - 1])))
-            for i in range(len(vs))
-        )
-    return data
-
-
 def plumbing_description(fan: MultiFan) -> list[PlumbingPiece]:
     """The disk-bundle list gluing into a manifold described by the fan."""
-    numbers = self_intersections(fan)
-    vs = fan.vectors
-    return [
-        PlumbingPiece(numbers[i], (vs[i], lattice.neg(vs[i - 1])))
-        for i in range(len(vs))
-    ]
+    return [PlumbingPiece(a, w) for a, w in
+            zip(self_intersections(fan), fixed_point_weights(fan))]
 
 
 def recognize_three(fan: MultiFan) -> tuple[Vec, Vec]:

@@ -1,11 +1,11 @@
 """Numeric invariants of a family, read off its fixed-point weights.
 
 The fixed point at position i of a fan carries the weight pair
-(v[i], -v[i-1]).  Sorting fixed points by how many of their weights pair
-negatively against a generic direction yields the counts (a0, a1, a2); the
-genus polynomial a0 - a1*y + a2*y^2 then evaluates to the Euler
-characteristic at y = -1, the Todd genus at 0, and the signature at 1, and
-determines the Chern numbers.
+(v[i], -v[i-1]) of multifan.fixed_point_weights.  Sorting fixed points by
+how many of their weights pair negatively against a generic direction
+yields the counts (a0, a1, a2); the genus polynomial a0 - a1*y + a2*y^2
+then evaluates to the Euler characteristic at y = -1, the Todd genus at 0,
+and the signature at 1, and determines the Chern numbers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import lattice
 from .errors import InternalInconsistency, PreconditionViolated
 from .lattice import Vec
-from .multifan import MultiFanFamily, winding_number
+from .multifan import MultiFanFamily, as_vec, fixed_point_weights, winding_number
 
 
 def choose_generic_direction(fam: MultiFanFamily) -> Vec:
@@ -29,12 +29,12 @@ def kosniowski_counts(fam: MultiFanFamily, xi: Vec) -> tuple[int, int, int]:
     """Histogram (a0, a1, a2) of fixed points by their number of weights on
     the negative side of xi.  The result is independent of the generic
     direction; the total is the fixed-point count."""
+    x, y = as_vec(xi, xi, "direction {!r}")
     counts = [0, 0, 0]
     for fan in fam.fans:
-        vs = fan.vectors
-        for i in range(len(vs)):
-            s1 = lattice.dot(vs[i], xi)
-            s2 = -lattice.dot(vs[i - 1], xi)
+        for (p, q), (r, s) in fixed_point_weights(fan):
+            s1 = p * x + q * y  # lattice.dot inlined: one pass per fixed point
+            s2 = r * x + s * y
             if s1 == 0 or s2 == 0:
                 raise PreconditionViolated(
                     f"direction {xi} is orthogonal to a weight")

@@ -148,6 +148,19 @@ def self_intersections(fan: MultiFan) -> list[int]:
     return [eps * lattice.det2(vs[(i + 1) % k], vs[i - 1]) for i in range(k)]
 
 
+def fixed_point_weights(fan: MultiFan) -> list[tuple[Vec, Vec]]:
+    """The tangent weight pair (v[i], -v[i-1]) of the fixed point at every
+    index i.
+
+    This is the one definition of a fixed point's weights; the plumbing
+    pieces and the count triple read it, and a graph's weights_at gives
+    the same pair, sorted, at the matching vertex.
+    """
+    vs = fan.vectors
+    # vs[-1:] + vs[:-1] is vs shifted one place, so it pairs v[i-1] with v[i]
+    return [(v, (-x, -y)) for (x, y), v in zip(vs[-1:] + vs[:-1], vs)]
+
+
 def _check_local(v, w, rewrite, i):
     # det(v, v+w) = det(v+w, w) = det(v, w): one determinant decides all three
     d = lattice.det2(v, w)
@@ -248,6 +261,8 @@ def winding_number(fan: MultiFan, xi: Vec | None = None) -> int:
     vs = fan.vectors
     if xi is None:
         xi = lattice.generic_direction(vs)
+    else:
+        as_vec(xi, xi, "direction {!r}")
     sides = [lattice.dot(v, xi) for v in vs]
     if any(s == 0 for s in sides):
         raise PreconditionViolated(f"direction {xi} is orthogonal to a fan vector")

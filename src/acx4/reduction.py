@@ -146,26 +146,15 @@ def _apply(fans: list[list[Vec]], move: Move) -> None:
     blow_down_inplace(vs, move.position)
 
 
-def _apply_given(fans: list[list[Vec]], move: Move) -> None:
-    # a caller's move, unlike the engine's, may hold indices that are not ints
-    as_int(move.fan_index, "fan_index")
-    as_int(move.position, "position")
-    _apply(fans, move)
-
-
-def apply_move(fam: MultiFanFamily, move: Move) -> MultiFanFamily:
-    """Apply one move, verifying the recorded vector against the rewrite."""
-    fans = _lists(fam)
-    _apply_given(fans, move)
-    return _family(fans)
-
-
 def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
     """Apply a move sequence to a family, failing on the first mismatch."""
     fans = _lists(initial)
     for i, mv in enumerate(moves):
         try:
-            _apply_given(fans, mv)
+            # a caller's move, unlike the engine's, may hold non-int indices
+            as_int(mv.fan_index, "fan_index")
+            as_int(mv.position, "position")
+            _apply(fans, mv)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
     return _family(fans)

@@ -179,7 +179,12 @@ def validate_graph(vertices, edges) -> TorusGraph:
 def weights_at(g: TorusGraph, v: str) -> tuple[Vec, Vec]:
     """The two tangent weights at a vertex, sorted: +label per outgoing
     edge and -label per incoming edge, read from _incidences as the walk
-    reads them (so an edge end outside the vertices is UnknownVertex)."""
+    reads them (so an edge end outside the vertices is UnknownVertex).
+
+    A graph has no positions, so this reads the edges at v rather than
+    multifan.fixed_point_weights; at the vertex between vectors i-1 and i
+    of a fan the two give the same pair (v[i], -v[i-1]), here sorted.
+    """
     if v not in g.vertices:
         raise UnknownVertex(v)
     labels = ((g.edges[idx].label, out) for idx, out in _incidences(g)[v])
@@ -297,7 +302,10 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     if isinstance(edge, Edge):
         a, b = edge.src, edge.dst
     else:
-        a, b = edge
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise DomainError(f"edge {edge!r} is not an Edge or a pair") from None
     # keep the earlier slot so component discovery order is undisturbed
     keep, drop = sorted((_slot(g, a), _slot(g, b)))
     g, edges, srcs, dsts = _directed(g)
@@ -328,13 +336,3 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
 def is_minimal_graph(g: TorusGraph) -> bool:
     """True iff every component reads as a minimal fan: all unit labels."""
     return all(is_minimal_fan(f) for f in graph_to_family(g).fans)
-
-
-def is_connected(g: TorusGraph) -> bool:
-    return len(normalized_components(g)) <= 1
-
-
-def gkm_relations(g: TorusGraph) -> list[Edge]:
-    """One relation per stored edge: the classes at src and dst differ by
-    a multiple of the label."""
-    return list(g.edges)

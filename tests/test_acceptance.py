@@ -105,7 +105,7 @@ def _recheck_norm_profile(fam, log):
         else:
             group = 3
         for move in moves[p : p + group]:
-            state = acx4.apply_move(state, move)
+            state = acx4.replay(state, [move])
         p += group
         new_profile = sorted((acx4.norm_sq(v) for f in state.fans
                               for v in f.vectors), reverse=True)

@@ -17,21 +17,29 @@ def sigma(n):
     return acx4.make_hirzebruch_fan((1, 0), (0, 1), n)
 
 
+def fixed_point_data(fam):
+    return [(j, i, w) for j, f in enumerate(fam.fans)
+            for i, w in enumerate(acx4.fixed_point_weights(f))]
+
+
 def test_fixed_point_data_golden():
-    data = acx4.fixed_point_data(family_of(CP2))
-    assert [set(d.weights) for d in data] == [
+    data = fixed_point_data(family_of(CP2))
+    assert [set(w) for _, _, w in data] == [
         {(1, 0), (0, 1)}, {(-1, 0), (-1, 1)}, {(1, -1), (0, -1)}]
     for n in range(0, 4):
-        data = acx4.fixed_point_data(family_of(sigma(n)))
-        assert [set(d.weights) for d in data] == [
+        data = fixed_point_data(family_of(sigma(n)))
+        assert [set(w) for _, _, w in data] == [
             {(1, 0), (0, 1)}, {(0, 1), (-1, 0)},
             {(-1, n), (0, -1)}, {(0, -1), (1, -n)}]
     rng = random.Random(3)
     for _ in range(50):
         fam = acx4.gen_random_family(rng.randrange(1 << 30),
                                      rng.randint(1, 2), rng.randint(0, 8))
-        for d in acx4.fixed_point_data(fam):
-            assert acx4.is_basis(*d.weights)
+        g = acx4.family_to_graph(fam)
+        for j, i, pair in fixed_point_data(fam):
+            assert acx4.is_basis(*pair)
+            # the graph's vertex p{j},{i} (1-based) carries the same pair
+            assert tuple(sorted(pair)) == acx4.weights_at(g, f"p{j + 1},{i + 1}")
 
 
 def test_plumbing_description_golden():
@@ -187,8 +195,8 @@ def test_make_todd_fan():
         assert acx4.winding_number(fan) == n0
         assert oracles.angle_sum_winding(fan.vectors) == n0
         k = len(fan.vectors)
-        first = acx4.fixed_point_data(acx4.MultiFanFamily((fan,)))[0]
-        assert set(first.weights) == {(k, 1), (1, 0)}
+        first = acx4.fixed_point_weights(fan)[0]
+        assert set(first) == {(k, 1), (1, 0)}
     with pytest.raises(NonPositiveInput):
         acx4.make_todd_fan(0)
 

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import acx4
-from acx4.errors import PreconditionViolated
+from acx4.errors import DomainError, PreconditionViolated
 
 
 def family_of(*fans):
@@ -54,6 +54,21 @@ def test_kosniowski_rejects_orthogonal_direction():
     fam = family_of(CP2)
     with pytest.raises(PreconditionViolated):
         acx4.kosniowski_counts(fam, (1, 1))
+    # a direction that is not an integer pair is refused by name, not
+    # indexed into or counted in float arithmetic; None is winding_number's
+    # default, so only kosniowski_counts refuses it
+    bad = [((1.5, 2), "must have integer entries"),
+           ((1, True), "must have integer entries"),
+           ((1,), "is not a pair"), ((1, 2, 3), "is not a pair"),
+           (5, "is not a pair")]
+    for xi, why in bad + [(None, "is not a pair")]:
+        with pytest.raises(DomainError) as exc:
+            acx4.kosniowski_counts(fam, xi)
+        assert str(exc.value) == f"direction {xi!r} {why}"
+    for xi, why in bad:
+        with pytest.raises(DomainError) as exc:
+            acx4.winding_number(CP2, xi)
+        assert str(exc.value) == f"direction {xi!r} {why}"
 
 
 def test_todd_genus_golden():

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import acx4
 
@@ -61,3 +62,7 @@ def test_the_check_sees_both_patterns(tmp_path):
         (3, "from cli import _parser"),
         (4, "lattice._private"),
     ]
+
+
+def test_all_lists_the_api_without_submodules():
+    assert [n for n in acx4.__all__ if isinstance(getattr(acx4, n), ModuleType)] == []

@@ -68,7 +68,7 @@ def test_chi_y_shifts_along_any_log():
         state = fam
         report = acx4.chi_y_report(state)
         for move in log.moves:
-            state = acx4.apply_move(state, move)
+            state = acx4.replay(state, [move])
             after = acx4.chi_y_report(state)
             delta = 1 if move.kind == BLOW_UP else -1
             assert after.a1 == report.a1 + delta
@@ -94,7 +94,7 @@ def test_replay_empty_and_mismatched():
 def test_moves_from_callers_need_integer_indices():
     fam = acx4.make_minimal_family([1])
     with pytest.raises(DomainError, match="fan_index must be an integer, got 0.0"):
-        acx4.apply_move(fam, Move(BLOW_UP, 0.0, 0, (1, 1)))
+        acx4.replay(fam, [Move(BLOW_UP, 0.0, 0, (1, 1))])
     with pytest.raises(MoveInapplicable,
                        match="position must be an integer, got 1.0"):
         acx4.replay(fam, (Move(BLOW_DOWN, 0, 1.0, (0, 1)),))
@@ -163,7 +163,7 @@ def test_norm_profile_decreases_per_iteration_groups():
             else:
                 group = 3
             for move in moves[p : p + group]:
-                state = acx4.apply_move(state, move)
+                state = acx4.replay(state, [move])
             p += group
             new_profile = sorted((acx4.norm_sq(v) for f in state.fans
                                   for v in f.vectors), reverse=True)

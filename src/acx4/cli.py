@@ -63,14 +63,6 @@ def _load_family(path):
     raise DomainError(f"{path}: expected a family or graph document, got {doc.format}")
 
 
-def _load_family_only(path):
-    doc = _load_document(path)
-    if doc.format != FORMAT_FAMILY:
-        raise DomainError(
-            f"{path}: this command needs a family document (convert graphs first)")
-    return doc.payload
-
-
 def _load_graph(path):
     doc = _load_document(path)
     if doc.format == FORMAT_GRAPH:
@@ -104,7 +96,11 @@ def _cmd_invariants(args):
 
 
 def _cmd_rewrite(args):
-    _emit(args.rewrite(_load_family_only(args.file), args.fan, args.pos))
+    doc = _load_document(args.file)
+    if doc.format != FORMAT_FAMILY:
+        raise DomainError(
+            f"{args.file}: this command needs a family document (convert graphs first)")
+    _emit(args.rewrite(doc.payload, args.fan, args.pos))
     return 0
 
 
@@ -186,67 +182,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their labeled graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate any document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
+    def command(name, handler, help, *positionals, **defaults):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=handler, **defaults)
+        return p
 
-    p = sub.add_parser("convert", help="convert between fan and graph documents")
+    command("validate", _cmd_validate, "parse and validate any document", "file")
+    p = command("convert", _cmd_convert, "convert between fan and graph documents",
+                "file")
     p.add_argument("--to", choices=("fan", "graph"), required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("invariants", help="emit the invariant report of a family")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_invariants)
-
+    command("invariants", _cmd_invariants, "emit the invariant report of a family",
+            "file")
     for name, rewrite, about in (
             ("blowup", blow_up_in_family, "insert the sum of an adjacent vector pair"),
             ("blowdown", blow_down_in_family,
              "delete a vector equal to its neighbor sum")):
-        p = sub.add_parser(name, help=about)
+        p = command(name, _cmd_rewrite, about, "file", rewrite=rewrite)
         p.add_argument("--fan", type=integer, required=True)
         p.add_argument("--pos", type=integer, required=True)
-        p.add_argument("file")
-        p.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
-
-    p = sub.add_parser("minimize", help="reduce a family to unit vectors")
+    p = command("minimize", _cmd_minimize, "reduce a family to unit vectors", "file")
     p.add_argument("--log", help="also write the replayable move log here")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("normalize-complex",
-                       help="reduce a winding-one fan to the unit 4-fan")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_normalize_complex)
-
-    p = sub.add_parser("classify",
-                       help="normal forms and plumbing data of each fan")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("equiv", help="compare two families up to rotation")
-    p.add_argument("a")
-    p.add_argument("b")
+    command("normalize-complex", _cmd_normalize_complex,
+            "reduce a winding-one fan to the unit 4-fan", "file")
+    command("classify", _cmd_classify, "normal forms and plumbing data of each fan",
+            "file")
+    p = command("equiv", _cmd_equiv, "compare two families up to rotation", "a", "b")
     p.add_argument("--mode", choices=(ROTATIONS, ROTATIONS_AND_REVERSAL),
                    default=ROTATIONS)
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("render", help="draw a document as svg, dot, or tikz")
+    p = command("render", _cmd_render, "draw a document as svg, dot, or tikz", "file")
     p.add_argument("--format", choices=("svg", "dot", "tikz"), required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("generate", help="seeded random family from unit fans")
+    p = command("generate", _cmd_generate, "seeded random family from unit fans")
     p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--components", type=integer, default=1)
     p.add_argument("--blowups", type=integer, default=0)
     p.add_argument("--signs", help="comma list of +1/-1, one per component")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("replay", help="apply a move log to a family")
+    p = command("replay", _cmd_replay, "apply a move log to a family", "file")
     p.add_argument("--log", required=True)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_replay)
 
     return parser
 

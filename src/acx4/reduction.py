@@ -26,22 +26,22 @@ after a move cost O(sqrt(k)) rather than a pass over the family.
 Runs are solved in closed form.  An a = 0 iteration only replaces w by
 w + delta, delta = side*w1, and leaves its neighbors alone (unless it
 blows up the wrapping pair at position 0, which rotates the list).  When
-the last p <= 4 iterations are such steps at the same places and sides as
-the p before them, and none of them touches another's neighbors, every
-further repeat shifts each of those vectors by its own fixed delta: the
-Hirzebruch-Jung continued-fraction step (Fulton, 2.6), one division of
-the subtractive Euclid.  Each choice the engine makes in repeat r (which
-vector is first longest, with the tie-break; the reduction_choice side;
-that the inserted vector is strictly shorter than the one removed) is a
-quadratic inequality in r, so isqrt gives the exact number q of repeats
-that keep them all.  The engine sets the vectors to their values after
-q - 1 repeats, expands those moves into the log from the closed form, and
-runs the last repeat as ordinary iterations, which must make the
-predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2, 4.5.3) a fan
-with coordinates of size N has O(log N) runs, so the cost is O(runs *
-log N) arithmetic plus one Move per logged move.  A log is capped at
-MAX_MOVES moves: a reduction that needs more raises DomainError as its log
-passes the bound, or, in a run, before the run's moves are built.
+the last p <= 4f iterations, f the number of fans, are such steps at the
+same places and sides as the p before them, and none of them touches
+another's neighbors, every further repeat shifts each of those vectors by
+its own fixed delta: the Hirzebruch-Jung continued-fraction step (Fulton,
+2.6), one division of the subtractive Euclid.  Each choice the engine
+makes in repeat r (which vector is first longest, with the tie-break; the
+reduction_choice side; that the inserted vector is strictly shorter than
+the one removed) is a quadratic inequality in r, so isqrt gives the exact
+number q of repeats that keep them all.  The engine sets the vectors to
+their values after q - 1 repeats, expands those moves into the log from
+the closed form, and runs the last repeat as ordinary iterations, which
+must make the predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2,
+4.5.3) a fan with coordinates of size N has O(log N) runs, so the cost is
+O(runs * log N) arithmetic plus one Move per logged move.  A log is capped
+at MAX_MOVES moves: a reduction that needs more raises DomainError as its
+log passes the bound, or, in a run, before the run's moves are built.
 
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule
@@ -89,8 +89,8 @@ BLOW_DOWN = "blow_down"
 # that needs more raises DomainError before its log grows past it.
 MAX_MOVES = 10**6
 
-# The longest block of iterations a run repeats: two fans of the euclid
-# shape that tie on norm take turns, two a = 0 steps each.
+# The longest block of iterations a run repeats, per fan of the family: fans
+# of the euclid shape that tie on norm take turns, two a = 0 steps each.
 _MAX_BLOCK = 4
 
 
@@ -157,6 +157,11 @@ def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
             _apply(fans, mv)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
+        except AttributeError:
+            if isinstance(mv, Move):
+                raise
+            raise MoveInapplicable(
+                i, f"expected a Move, got {type(mv).__name__}") from None
     return _family(fans)
 
 
@@ -260,9 +265,9 @@ def _too_many(count):
 def _repeated_block(keys, fans):
     """The last p run keys when they repeat the p keys before them and
     none of their iterations touches another's neighbors; None when no
-    p <= _MAX_BLOCK does."""
+    p <= len(keys) / 2 does."""
     key = keys[-1]
-    for p in range(1, min(_MAX_BLOCK, len(keys) // 2) + 1):
+    for p in range(1, len(keys) // 2 + 1):
         if keys[-1 - p] != key:
             continue
         block = keys[-p:]
@@ -371,6 +376,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     signs = [orientation(fan) for fan in fam.fans]
     moves = []
     keys = []  # the latest run keys, none of them None, since the last jump
+    window = 2 * _MAX_BLOCK * len(fans)  # two repeats of the longest block
     expect = []  # the keys of a run's last repeat, still to come
     while True:
         # the first fan holding the strictly largest norm > 1
@@ -406,7 +412,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
             keys.clear()  # no block holds this iteration
             continue
         keys.append(key)
-        if len(keys) > 2 * _MAX_BLOCK:
+        if len(keys) > window:
             del keys[0]
         block = _repeated_block(keys, fans)
         if block and _jump(block, fans, norms, moves):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import acx4
+from acx4 import cli
 from acx4.cli import build_parser, cli_main, main
 from acx4.errors import InternalInconsistency
 from acx4.serialize import document_for, emit_document, parse_document
@@ -123,6 +124,47 @@ def test_reused_parser_answers_like_a_fresh_one(cp2_path, capsys):
         except SystemExit as exc:
             fresh = exc.code
         assert (code, got) == (fresh, capsys.readouterr())
+
+
+def test_parser_shape():
+    # fields, not --help bytes: argparse lays help out differently per version
+    file_only = (("file",), {})
+    rewrite = (("file",), {("--fan",): (True, None, None, cli.integer),
+                           ("--pos",): (True, None, None, cli.integer)})
+    expected = {
+        "validate": (cli._cmd_validate, None, *file_only),
+        "convert": (cli._cmd_convert, None, ("file",),
+                    {("--to",): (True, ("fan", "graph"), None, None)}),
+        "invariants": (cli._cmd_invariants, None, *file_only),
+        "blowup": (cli._cmd_rewrite, acx4.blow_up_in_family, *rewrite),
+        "blowdown": (cli._cmd_rewrite, acx4.blow_down_in_family, *rewrite),
+        "minimize": (cli._cmd_minimize, None, ("file",),
+                     {("--log",): (False, None, None, None)}),
+        "normalize-complex": (cli._cmd_normalize_complex, None, *file_only),
+        "classify": (cli._cmd_classify, None, *file_only),
+        "equiv": (cli._cmd_equiv, None, ("a", "b"),
+                  {("--mode",): (False, ("rotations", "full"), "rotations", None)}),
+        "render": (cli._cmd_render, None, ("file",),
+                   {("--format",): (True, ("svg", "dot", "tikz"), None, None)}),
+        "generate": (cli._cmd_generate, None, (),
+                     {("--seed",): (True, None, None, cli.integer),
+                      ("--components",): (False, None, 1, cli.integer),
+                      ("--blowups",): (False, None, 0, cli.integer),
+                      ("--signs",): (False, None, None, None)}),
+        "replay": (cli._cmd_replay, None, ("file",),
+                   {("--log",): (True, None, None, None)}),
+    }
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    got = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.dest != "help"]
+        got[name] = (
+            p.get_default("func"), p.get_default("rewrite"),
+            tuple(a.dest for a in actions if not a.option_strings),
+            {tuple(a.option_strings): (a.required, a.choices, a.default, a.type)
+             for a in actions if a.option_strings})
+    assert list(got) == list(expected)
+    assert got == expected
 
 
 def test_invariants_emits_report(cp2_path, capsys):

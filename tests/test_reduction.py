@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 
@@ -89,6 +90,11 @@ def test_replay_empty_and_mismatched():
         acx4.replay(fam, bad)
     with pytest.raises(MoveInapplicable):
         acx4.replay(fam, (Move(BLOW_UP, 5, 0, (1, 1)),))
+    # a caller's item that is not a Move is a bad input, not a crash
+    for item, name in ((("blow_up", 0, 0, (1, 1)), "tuple"), (None, "NoneType")):
+        with pytest.raises(MoveInapplicable,
+                           match=f"move 1 does not apply: expected a Move, got {name}$"):
+            acx4.replay(fam, [log.moves[0], item])
 
 
 def test_moves_from_callers_need_integer_indices():
@@ -184,6 +190,59 @@ def test_reductions_past_max_moves_are_refused(fan):
         acx4.reduce_to_minimal(family_of(fan))
     with pytest.raises(DomainError, match="MAX_MOVES"):
         acx4.normalize_complex(fan)
+
+
+def test_multi_fan_runs_past_max_moves_are_refused(monkeypatch):
+    # three tying fans make a block of six steps, refused from its closed
+    # form after a few checked iterations, not a million stepwise moves
+    calls = []
+    real = reduction._iteration_moves
+    monkeypatch.setattr(reduction, "_iteration_moves",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(DomainError, match=f"more than MAX_MOVES = {10**6}$"):
+        acx4.reduce_to_minimal(acx4.MultiFanFamily((euclid(10**5),) * 3))
+    assert len(calls) < 64
+
+
+def test_first_failure_matches_a_scan():
+    # the least r >= 0 with a*r*r + b*r + c <= 0; a convex quadratic whose
+    # roots fall between two integers, such as (9, -9, 2), has none
+    def scan(a, b, c):
+        # any answer in the box is below |b| + |c| + 3
+        return next((r for r in range(abs(b) + abs(c) + 3)
+                     if (a * r + b) * r + c <= 0), inf)
+
+    box = range(-12, 13)
+    for a in box:
+        for b in box:
+            for c in box:
+                assert reduction._first_failure(a, b, c) == scan(a, b, c), (a, b, c)
+    # large coefficients around known integer roots
+    rng = random.Random(0x1F)
+    for _ in range(500):
+        m = rng.randint(1, 10**6)
+        big = rng.randint(3, 10**6)
+        k = rng.randint(1, 10**40)
+        gap = rng.randint(2, 10**40)
+        cases = [
+            # m(r - k)(r - k - gap), then shifted up by one
+            ((m, -m * (2 * k + gap), m * k * (k + gap)), k),
+            ((m, -m * (2 * k + gap), m * k * (k + gap) + 1), k + 1),
+            # m(r - k)(r - k - 1) + 1 stays above 0 on the integers, and
+            # m(r - k)^2 touches 0 only at k, and not once shifted up by one
+            ((m, -m * (2 * k + 1), m * k * (k + 1) + 1), inf),
+            ((m, -2 * m * k, m * k * k), k),
+            ((m, -2 * m * k, m * k * k + 1), inf),
+            # (big r - big k - 1)(big r - big k - 2): both roots inside (k, k + 1)
+            ((big * big, -big * (2 * big * k + 3), (big * k + 1) * (big * k + 2)), inf),
+            # -m(r - k)(r + gap), and -(big r - big k - 1)(big r + 1)
+            ((-m, m * (k - gap), m * k * gap), k),
+            ((-big * big, big * big * k, big * k + 1), k + 1),
+            ((0, -m, m * k), k),
+            ((0, -m, m * k + 1), k + 1),
+        ]
+        for coefficients, first in cases:
+            assert reduction._first_failure(*coefficients) == first, coefficients
 
 
 def test_max_moves_bounds_the_log_exactly(monkeypatch):

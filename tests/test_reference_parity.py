@@ -144,8 +144,11 @@ def test_logs_match_reference_on_two_fan_runs():
     for f1 in fans:
         for f2 in fans:
             assert_same_reduction(acx4.MultiFanFamily((f1, f2)))
-    for n in (5, 40):
-        assert_same_reduction(acx4.MultiFanFamily(euclid_family(n).fans * 3))
+    for copies in (3, 4):
+        for n in (5, 40):
+            assert_same_reduction(acx4.MultiFanFamily(euclid_family(n).fans * copies))
+    assert_same_reduction(acx4.MultiFanFamily(
+        tuple(euclid_family(n).fans[0] for n in (40, 40, 7, 40))))
 
 
 def test_runs_take_few_checked_iterations(monkeypatch):
@@ -166,6 +169,13 @@ def test_runs_take_few_checked_iterations(monkeypatch):
     log, _ = acx4.normalize_complex(hirzebruch_fan(10**5))
     assert len(log.moves) == 2 * 10**5
     assert len(calls) < 64
+    # each fan that ties on norm adds its two steps to the block
+    for copies in (3, 4):
+        calls.clear()
+        _, log = acx4.reduce_to_minimal(
+            acx4.MultiFanFamily(euclid_family(10**4).fans * copies))
+        assert len(log.moves) == copies * (4 * 10**4 + 3)
+        assert len(calls) < 64
 
 
 def test_engine_refuses_a_run_past_its_end(monkeypatch):

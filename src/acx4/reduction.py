@@ -289,7 +289,8 @@ def _first_failure(a, b, c):
     For c > 0 the quadratic first reaches 0 past r = 0 at
     x = (-b - sqrt(d)) / 2a, its smaller root if a > 0 and its larger one
     if a < 0; the answer is ceil(x) unless (a > 0) no integer lies between
-    the roots.  isqrt(d) pins ceil(x) to three integers, each tested.
+    the roots.  isqrt(d) pins ceil(x) to two integers, lo and lo + 1,
+    each tested.
     """
     if c <= 0:
         return 0
@@ -300,7 +301,7 @@ def _first_failure(a, b, c):
         return inf
     s = isqrt(d)
     lo = min((-b - s - 1) // (2 * a), (-b - s) // (2 * a))
-    for r in range(max(lo, 1), lo + 3):
+    for r in range(max(lo, 1), lo + 2):
         if (a * r + b) * r + c <= 0:
             return r
     return inf

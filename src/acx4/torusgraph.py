@@ -19,7 +19,10 @@ local move as on its fan, so blow_up_graph and blow_down_graph read one
 directed view (_directed normalizes only an input that is not yet
 directed), edit the vertex and edge tuples around the touched vertex, and
 leave every sum and determinant test to the fan kernel blow_up_inplace /
-blow_down_inplace.
+blow_down_inplace.  They apply the same edits to the lists of edge sources
+and destinations they located the touched edges in, and when exactly one
+edge left each vertex of their input, the graph they return carries those
+lists outside its fields, so a chain of rewrites reads every edge once.
 """
 
 from __future__ import annotations
@@ -238,18 +241,44 @@ _dst = attrgetter("dst")
 
 
 def _directed(g: TorusGraph):
-    """g with every cycle directed, its edges as a list, and the source and
-    destination vertex of each edge.
+    """g with every cycle directed, its edges as a list, the source and
+    destination vertex of each edge, and whether exactly one edge leaves
+    each vertex.
 
-    A 2-regular graph whose every vertex is the source of exactly one edge
-    is already a union of directed cycles, which normalization would
-    reproduce verbatim.
+    A graph returned by a rewrite may carry the two lists (see _rewritten);
+    it gets copies, so an older version can still be read or rewritten.
+    Otherwise they are read from the edges: a 2-regular graph whose every
+    vertex is the source of exactly one edge is already a union of
+    directed cycles, which normalization would reproduce verbatim.
     """
+    ends = getattr(g, "_ends", None)
+    if ends is not None:
+        return g, list(g.edges), ends[0][:], ends[1][:], True
     srcs = list(map(_src, g.edges))
-    if len(set(srcs)) != len(g.vertices):
+    sources = set(srcs)
+    if len(sources) != len(g.vertices):
         g = normalize_orientation(g)
         srcs = list(map(_src, g.edges))
-    return g, list(g.edges), srcs, list(map(_dst, g.edges))
+        sources = set(srcs)
+    # exactly one edge leaves each vertex iff the sources are as many as the
+    # edges and the vertices, and none lies outside the vertices
+    count = len(sources)
+    sources.difference_update(g.vertices)
+    one_out = len(srcs) == count == len(g.vertices) and not sources
+    return g, list(g.edges), srcs, list(map(_dst, g.edges)), one_out
+
+
+def _rewritten(vertices, edges, srcs, dsts, one_out) -> TorusGraph:
+    """The graph a rewrite returns, carrying its edited srcs and dsts when
+    exactly one edge left each vertex of its input: that holds of the
+    result too, so the next rewrite would read those very lists.
+    """
+    g = TorusGraph(vertices, tuple(edges))
+    if one_out:
+        # not a field, so ==, hash, repr and dataclasses.fields never see
+        # them; the instance is frozen, hence object.__setattr__
+        object.__setattr__(g, "_ends", (srcs, dsts))
+    return g
 
 
 def _slot(g: TorusGraph, v) -> int:
@@ -271,7 +300,7 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     validate_graph.
     """
     slot = _slot(g, v)
-    g, edges, srcs, dsts = _directed(g)
+    g, edges, srcs, dsts, one_out = _directed(g)
     in_idx = dsts.index(v)
     out_idx = srcs.index(v)
     in_e = edges[in_idx]
@@ -284,7 +313,13 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     edges[in_idx] = Edge(in_e.src, v1, in_e.label)
     edges[out_idx] = Edge(v2, out_e.dst, out_e.label)
     edges.insert(in_idx + 1, Edge(v1, v2, middle))
-    return TorusGraph(vertices, tuple(edges))
+    # the same edits on the edge ends; the kernel refuses a self-loop at v
+    # (det(w, w) = 0), so the two touched edges differ
+    dsts[in_idx] = v1
+    srcs[out_idx] = v2
+    srcs.insert(in_idx + 1, v1)
+    dsts.insert(in_idx + 1, v2)
+    return _rewritten(vertices, edges, srcs, dsts, one_out)
 
 
 def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
@@ -308,7 +343,7 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
             raise DomainError(f"edge {edge!r} is not an Edge or a pair") from None
     # keep the earlier slot so component discovery order is undisturbed
     keep, drop = sorted((_slot(g, a), _slot(g, b)))
-    g, edges, srcs, dsts = _directed(g)
+    g, edges, srcs, dsts, one_out = _directed(g)
     mid_idx = srcs.index(a)
     if dsts[mid_idx] != b:
         mid_idx = srcs.index(b)
@@ -330,7 +365,12 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     edges[in_idx] = Edge(in_e.src, p, in_e.label)
     edges[out_idx] = Edge(p, out_e.dst, out_e.label)
     del edges[mid_idx]
-    return TorusGraph(vertices, tuple(edges))
+    # the same edits on the edge ends; the kernel refuses every pattern in
+    # which two of the three edges coincide, so they differ
+    dsts[in_idx] = p
+    srcs[out_idx] = p
+    del srcs[mid_idx], dsts[mid_idx]
+    return _rewritten(vertices, edges, srcs, dsts, one_out)
 
 
 def is_minimal_graph(g: TorusGraph) -> bool:

@@ -399,6 +399,41 @@ def test_graph_rewrite_chains_match_reference():
         assert len(g.vertices) == 4 * len(signs)
 
 
+def test_old_and_new_graph_versions_rewrite_like_the_reference():
+    # a rewrite hands its result the edge ends it edited, so rewriting an
+    # older version after a newer one exists must see none of its edits
+    rng = random.Random(0x15)
+    up, down = acx4.blow_up_graph, acx4.blow_down_graph
+    ref_up, ref_down = oracles.reference_blow_up_graph, oracles.reference_blow_down_graph
+    for scrambled in (False, True):
+        g = acx4.family_to_graph(acx4.make_minimal_family([1, -1]))
+        if scrambled:
+            g = oracles.scramble_graph(g, rng)
+        chain, created = [g], []
+        for _ in range(3):
+            i = rng.randrange(len(g.vertices))
+            v = g.vertices[i]
+            g = up(g, v)
+            assert g == ref_up(chain[-1], v)
+            chain.append(g)
+            created.append(g.vertices[i : i + 2])
+        g0, g1, g2, g3 = chain
+        later = [(up, ref_up, g1, rng.choice(g1.vertices)),
+                 (up, ref_up, g0, rng.choice(g0.vertices)),
+                 (down, ref_down, g2, created[1]),
+                 (down, ref_down, g1, created[0]),
+                 (down, ref_down, g3, created[2]),
+                 (up, ref_up, g3, rng.choice(g3.vertices))]
+        branches = []
+        for rewrite, reference, old, arg in later:
+            got = rewrite(old, arg)
+            assert got == reference(old, arg)
+            branches.append(got)
+        for b in branches:
+            v = rng.choice(b.vertices)
+            assert up(b, v) == ref_up(b, v)
+
+
 def test_graph_rewrites_check_touched_determinants():
     # a directed graph is not re-validated, so a label broken behind the
     # validator's back reaches the kernel, which must refuse it

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -412,6 +415,49 @@ def test_blow_up_graph_skips_taken_names():
     g = acx4.blow_up_graph(acx4.blow_up_graph(g, "p1,1"), "p1,1'")
     assert g.vertices == ("p1,1''_2", "p1,1'''", "p1,1''", "p1,2", "p1,3", "p1,4")
     assert g == acx4.validate_graph(g.vertices, g.edges)
+
+
+def test_rewrite_results_read_like_their_fields_rebuilt():
+    # a rewrite's result carries its edge ends outside its fields, where
+    # nothing that compares, hashes, prints, copies or rewrites it may see them
+    g = acx4.family_to_graph(acx4.make_minimal_family([1, -1]))
+    up = acx4.blow_up_graph(acx4.blow_up_graph(g, "p1,2"), "p2,3")
+    down = acx4.blow_down_graph(up, ("p2,3'", "p2,3''"))
+    for got in (up, down):
+        rebuilt = TorusGraph(got.vertices, got.edges)
+        for h in (got, pickle.loads(pickle.dumps(got)), copy.copy(got)):
+            assert h == rebuilt and hash(h) == hash(rebuilt)
+            assert repr(h) == repr(rebuilt)
+            assert dataclasses.astuple(h) == dataclasses.astuple(rebuilt)
+            for v in ("p1,1", "p1,2''"):
+                assert acx4.blow_up_graph(h, v) == acx4.blow_up_graph(rebuilt, v)
+            ends = ("p1,2'", "p1,2''")
+            assert acx4.blow_down_graph(h, ends) == acx4.blow_down_graph(rebuilt, ends)
+        assert [f.name for f in dataclasses.fields(got)] == ["vertices", "edges"]
+        assert len(vars(got)) > len(vars(rebuilt))  # yet it does carry them
+
+
+def test_rewrites_of_graphs_without_one_edge_out_per_vertex_refuse_later():
+    # a rewrite's result carries its edge ends only when exactly one edge
+    # left each vertex of its input; these three unvalidated graphs miss
+    # that, and the next rewrite must read their edges again and refuse
+    cycle = acx4.family_to_graph(acx4.make_minimal_family([1]))
+    # the source p1,2' is no vertex, and the blow-up names its vertex p1,2'
+    stray = TorusGraph(cycle.vertices,
+                       cycle.edges[:3] + (Edge("p1,2'", "p1,1", (0, -1)),))
+    with pytest.raises(NotTwoRegular, match="p1,2'"):
+        acx4.blow_up_graph(acx4.blow_up_graph(stray, "p1,2"), "p1,3")
+    # p1,1 is the source of two edges
+    twice = TorusGraph(cycle.vertices, cycle.edges + (Edge("p1,1", "p1,3", (1, 1)),))
+    with pytest.raises(UnknownVertex):
+        acx4.blow_up_graph(acx4.blow_up_graph(twice, "p1,1"), "p1,3")
+    # p1,2'' is listed twice, and the blow-down drops one of them
+    up = acx4.blow_up_graph(cycle, "p1,2")
+    listed_twice = TorusGraph(up.vertices + ("p1,2''",), up.edges)
+    down = acx4.blow_down_graph(acx4.blow_up_graph(listed_twice, "p1,4"),
+                                ("p1,2'", "p1,2''"))
+    with pytest.raises(NotTwoRegular, match="p1,2''"):
+        acx4.blow_up_graph(down, "p1,1")
 
 
 class GraphAndFamily(RuleBasedStateMachine):

@@ -307,6 +307,17 @@ def _first_failure(a, b, c):
     return inf
 
 
+def _longest(norms, top=-1):
+    """The largest norm above top and the first fan that holds it, or
+    (top, None) when no norm is above top."""
+    j = None
+    for t, blocks in enumerate(norms):
+        n = blocks.top()
+        if n > top:
+            top, j = n, t
+    return top, j
+
+
 def _jump(block, fans, norms, moves) -> bool:
     """Take all but the last repeat of a repeating block in closed form.
 
@@ -326,8 +337,7 @@ def _jump(block, fans, norms, moves) -> bool:
     # the longest vector the run leaves alone, and its first place
     for j, i in places:
         norms[j].replace(i, 0)
-    top = max(blocks.top() for blocks in norms)
-    zj = next(t for t, blocks in enumerate(norms) if blocks.top() == top)
+    top, zj = _longest(norms)
     still = (zj, norms[zj].first(top))
     bounds = []
     for m, (place, w, d) in enumerate(zip(places, start, deltas)):
@@ -380,12 +390,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     window = 2 * _MAX_BLOCK * len(fans)  # two repeats of the longest block
     expect = []  # the keys of a run's last repeat, still to come
     while True:
-        # the first fan holding the strictly largest norm > 1
-        longest, j = 1, None
-        for t, blocks in enumerate(norms):
-            n = blocks.top()
-            if n > longest:
-                longest, j = n, t
+        longest, j = _longest(norms, 1)
         if j is None:
             break
         step, key = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))

@@ -12,17 +12,16 @@ reading is a bijection between admissible graphs and admissible families:
 graph_to_family and family_to_graph invert each other exactly.
 
 validate_graph checks a whole graph and is the gate for every graph from
-outside the program.  Every reader of adjacency (the cycle walk and
-weights_at) goes through _incidences, so an edge end outside the vertices
-is UnknownVertex from each.  A blow-up or blow-down of a graph is the same
-local move as on its fan, so blow_up_graph and blow_down_graph read one
-directed view (_directed normalizes only an input that is not yet
-directed), edit the vertex and edge tuples around the touched vertex, and
-leave every sum and determinant test to the fan kernel blow_up_inplace /
-blow_down_inplace.  They apply the same edits to the lists of edge sources
-and destinations they located the touched edges in, and when exactly one
-edge left each vertex of their input, the graph they return carries those
-lists outside its fields, so a chain of rewrites reads every edge once.
+outside the program.  The cycle walk reads an incidence map, so an edge
+end outside the vertices is UnknownVertex and a vertex of another degree
+NotTwoRegular.  weights_at, blow_up_graph and blow_down_graph read one
+directed view instead (_directed): the source and destination of each
+edge once every cycle is directed.  A graph a rewrite returns carries it;
+any other graph gets it only if it passes the walk's checks and lists no
+vertex twice.  A rewrite finds the touched edges in it, edits the vertex
+and edge tuples around them, leaves every sum and determinant test to the
+fan kernel blow_up_inplace / blow_down_inplace, and returns the view,
+edited alike, with the graph, so a chain of rewrites reads each edge once.
 """
 
 from __future__ import annotations
@@ -80,18 +79,6 @@ def _as_edge(item, index) -> Edge:
     return Edge(str(src), str(dst), as_vec(label, index, "edge at index {}: label"))
 
 
-def _incidences(g: TorusGraph):
-    # vertex -> [(edge index, outgoing?)], two entries per vertex once validated
-    inc = {v: [] for v in g.vertices}
-    try:
-        for idx, e in enumerate(g.edges):
-            inc[e.src].append((idx, True))
-            inc[e.dst].append((idx, False))
-    except KeyError as exc:  # an edge end outside the vertices (unvalidated)
-        raise UnknownVertex(exc.args[0]) from None
-    return inc
-
-
 def _walk(g, inc, start, idx, outgoing):
     # the cycle from start along edge idx, as (edge index, oriented edge)
     cycle = []
@@ -118,7 +105,14 @@ def normalized_components(g: TorusGraph):
     labels.  A vertex meeting other than two edge ends (in a graph that
     skipped validate_graph) raises NotTwoRegular, so every walk closes.
     """
-    inc = _incidences(g)
+    # vertex -> [(edge index, outgoing?)], two entries per vertex once validated
+    inc = {v: [] for v in g.vertices}
+    try:
+        for idx, e in enumerate(g.edges):
+            inc[e.src].append((idx, True))
+            inc[e.dst].append((idx, False))
+    except KeyError as exc:  # an edge end outside the vertices (unvalidated)
+        raise UnknownVertex(exc.args[0]) from None
     for v, slots in inc.items():
         if len(slots) != 2:
             raise NotTwoRegular(v, len(slots))
@@ -180,9 +174,11 @@ def validate_graph(vertices, edges) -> TorusGraph:
 
 
 def weights_at(g: TorusGraph, v: str) -> tuple[Vec, Vec]:
-    """The two tangent weights at a vertex, sorted: +label per outgoing
-    edge and -label per incoming edge, read from _incidences as the walk
-    reads them (so an edge end outside the vertices is UnknownVertex).
+    """The two tangent weights at a vertex, sorted: the label of the edge
+    leaving v and the negated label of the edge entering it, once every
+    cycle is directed.  Both are found by index in the directed view of g,
+    so a malformed unvalidated graph is refused as the cycle walk refuses
+    it, or for a vertex listed twice.
 
     A graph has no positions, so this reads the edges at v rather than
     multifan.fixed_point_weights; at the vertex between vectors i-1 and i
@@ -190,8 +186,10 @@ def weights_at(g: TorusGraph, v: str) -> tuple[Vec, Vec]:
     """
     if v not in g.vertices:
         raise UnknownVertex(v)
-    labels = ((g.edges[idx].label, out) for idx, out in _incidences(g)[v])
-    return tuple(sorted(w if out else lattice.neg(w) for w, out in labels))
+    g, srcs, dsts = _directed(g)
+    out_e = g.edges[srcs.index(v)]
+    in_e = g.edges[dsts.index(v)]
+    return tuple(sorted((out_e.label, lattice.neg(in_e.label))))
 
 
 def normalize_orientation(g: TorusGraph) -> TorusGraph:
@@ -241,43 +239,37 @@ _dst = attrgetter("dst")
 
 
 def _directed(g: TorusGraph):
-    """g with every cycle directed, its edges as a list, the source and
-    destination vertex of each edge, and whether exactly one edge leaves
-    each vertex.
+    """g with every cycle directed, and the source and destination vertex
+    of each of its edges.
 
-    A graph returned by a rewrite may carry the two lists (see _rewritten);
-    it gets copies, so an older version can still be read or rewritten.
-    Otherwise they are read from the edges: a 2-regular graph whose every
-    vertex is the source of exactly one edge is already a union of
-    directed cycles, which normalization would reproduce verbatim.
+    A graph returned by a rewrite carries the two lists (see _rewritten),
+    which come back uncopied: callers must only read them.  Any other
+    graph has them read from its edges.  When every vertex is the source
+    of exactly one edge and the destination of exactly one, g is already a
+    union of directed cycles, which normalization would reproduce.
+    Otherwise g is normalized, which raises UnknownVertex or NotTwoRegular
+    on a malformed graph; after that, only a vertex listed twice fails.
     """
     ends = getattr(g, "_ends", None)
     if ends is not None:
-        return g, list(g.edges), ends[0][:], ends[1][:], True
-    srcs = list(map(_src, g.edges))
-    sources = set(srcs)
-    if len(sources) != len(g.vertices):
-        g = normalize_orientation(g)
+        return g, *ends
+    for normalized in (False, True):
+        if normalized:
+            g = normalize_orientation(g)
         srcs = list(map(_src, g.edges))
-        sources = set(srcs)
-    # exactly one edge leaves each vertex iff the sources are as many as the
-    # edges and the vertices, and none lies outside the vertices
-    count = len(sources)
-    sources.difference_update(g.vertices)
-    one_out = len(srcs) == count == len(g.vertices) and not sources
-    return g, list(g.edges), srcs, list(map(_dst, g.edges)), one_out
+        dsts = list(map(_dst, g.edges))
+        vertices = set(g.vertices)
+        if (len(vertices) == len(g.vertices) == len(srcs)
+                and vertices == set(srcs) == set(dsts)):
+            return g, srcs, dsts
+    raise DomainError("duplicate vertex id")
 
 
-def _rewritten(vertices, edges, srcs, dsts, one_out) -> TorusGraph:
-    """The graph a rewrite returns, carrying its edited srcs and dsts when
-    exactly one edge left each vertex of its input: that holds of the
-    result too, so the next rewrite would read those very lists.
-    """
+def _rewritten(vertices, edges, srcs, dsts) -> TorusGraph:
+    """The graph a rewrite returns, carrying srcs and dsts outside its
+    fields, where ==, hash, repr and dataclasses.fields never see them."""
     g = TorusGraph(vertices, tuple(edges))
-    if one_out:
-        # not a field, so ==, hash, repr and dataclasses.fields never see
-        # them; the instance is frozen, hence object.__setattr__
-        object.__setattr__(g, "_ends", (srcs, dsts))
+    object.__setattr__(g, "_ends", (srcs, dsts))
     return g
 
 
@@ -300,7 +292,8 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     validate_graph.
     """
     slot = _slot(g, v)
-    g, edges, srcs, dsts, one_out = _directed(g)
+    g, srcs, dsts = _directed(g)
+    edges, srcs, dsts = list(g.edges), srcs[:], dsts[:]
     in_idx = dsts.index(v)
     out_idx = srcs.index(v)
     in_e = edges[in_idx]
@@ -319,7 +312,7 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     srcs[out_idx] = v2
     srcs.insert(in_idx + 1, v1)
     dsts.insert(in_idx + 1, v2)
-    return _rewritten(vertices, edges, srcs, dsts, one_out)
+    return _rewritten(vertices, edges, srcs, dsts)
 
 
 def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
@@ -343,7 +336,8 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
             raise DomainError(f"edge {edge!r} is not an Edge or a pair") from None
     # keep the earlier slot so component discovery order is undisturbed
     keep, drop = sorted((_slot(g, a), _slot(g, b)))
-    g, edges, srcs, dsts, one_out = _directed(g)
+    g, srcs, dsts = _directed(g)
+    edges, srcs, dsts = list(g.edges), srcs[:], dsts[:]
     mid_idx = srcs.index(a)
     if dsts[mid_idx] != b:
         mid_idx = srcs.index(b)
@@ -370,7 +364,7 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     dsts[in_idx] = p
     srcs[out_idx] = p
     del srcs[mid_idx], dsts[mid_idx]
-    return _rewritten(vertices, edges, srcs, dsts, one_out)
+    return _rewritten(vertices, edges, srcs, dsts)
 
 
 def is_minimal_graph(g: TorusGraph) -> bool:

@@ -609,8 +609,8 @@ def reference_graph_to_family(g):
         for cycle in reference_normalized_components(g)))
 
 
-# weights_at reads v's two edges from the walk's incidence map; the
-# reference scans every edge.
+# weights_at reads v's two edges from the directed view the rewrites
+# read; the reference scans every edge.
 
 def reference_weights_at(g, v):
     if v not in g.vertices:

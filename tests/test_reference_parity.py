@@ -360,7 +360,15 @@ def test_weights_at_matches_reference():
         fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
                                      rng.randint(0, 8))
         directed = acx4.family_to_graph(fam)
-        for g in (directed, oracles.scramble_graph(directed, rng)):
+        scrambled = oracles.scramble_graph(directed, rng)
+        # rewrite outputs, which carry their directed view, from either start
+        chained = []
+        for g in (directed, scrambled):
+            once = acx4.blow_up_graph(g, rng.choice(g.vertices))
+            twice = acx4.blow_up_graph(once, rng.choice(once.vertices))
+            new = [u for u in twice.vertices if u not in once.vertices]
+            chained += [once, twice, acx4.blow_down_graph(twice, new)]
+        for g in [directed, scrambled] + chained:
             for v in g.vertices + ("zz",):
                 assert (outcome(acx4.weights_at, g, v)
                         == outcome(oracles.reference_weights_at, g, v))

@@ -379,7 +379,8 @@ BAD_DEGREE_GRAPHS = {
 def test_cycle_walk_rejects_a_vertex_not_of_degree_two(name):
     g, want = BAD_DEGREE_GRAPHS[name]
     for reader in (acx4.graph_to_family, acx4.normalize_orientation,
-                   acx4.render_graph_tikz, normalized_components):
+                   acx4.render_graph_tikz, normalized_components,
+                   lambda g: acx4.weights_at(g, "a")):
         with pytest.raises(type(want)) as exc:
             reader(g)
         assert (str(exc.value), vars(exc.value)) == (str(want), vars(want))
@@ -437,27 +438,47 @@ def test_rewrite_results_read_like_their_fields_rebuilt():
         assert len(vars(got)) > len(vars(rebuilt))  # yet it does carry them
 
 
-def test_rewrites_of_graphs_without_one_edge_out_per_vertex_refuse_later():
-    # a rewrite's result carries its edge ends only when exactly one edge
-    # left each vertex of its input; these three unvalidated graphs miss
-    # that, and the next rewrite must read their edges again and refuse
+def test_malformed_graphs_are_refused_at_the_first_rewrite_or_query():
+    # unvalidated graphs that are no union of cycles on their listed
+    # vertices: each reader of the directed view refuses them at once, with
+    # the cycle walk's error or validate_graph's duplicate-vertex one
     cycle = acx4.family_to_graph(acx4.make_minimal_family([1]))
-    # the source p1,2' is no vertex, and the blow-up names its vertex p1,2'
-    stray = TorusGraph(cycle.vertices,
-                       cycle.edges[:3] + (Edge("p1,2'", "p1,1", (0, -1)),))
-    with pytest.raises(NotTwoRegular, match="p1,2'"):
-        acx4.blow_up_graph(acx4.blow_up_graph(stray, "p1,2"), "p1,3")
-    # p1,1 is the source of two edges
-    twice = TorusGraph(cycle.vertices, cycle.edges + (Edge("p1,1", "p1,3", (1, 1)),))
-    with pytest.raises(UnknownVertex):
-        acx4.blow_up_graph(acx4.blow_up_graph(twice, "p1,1"), "p1,3")
-    # p1,2'' is listed twice, and the blow-down drops one of them
     up = acx4.blow_up_graph(cycle, "p1,2")
-    listed_twice = TorusGraph(up.vertices + ("p1,2''",), up.edges)
-    down = acx4.blow_down_graph(acx4.blow_up_graph(listed_twice, "p1,4"),
-                                ("p1,2'", "p1,2''"))
-    with pytest.raises(NotTwoRegular, match="p1,2''"):
-        acx4.blow_up_graph(down, "p1,1")
+    cases = {
+        # the source p1,2' is no vertex, though a blow-up at p1,2 would name one so
+        "stray": (TorusGraph(cycle.vertices,
+                             cycle.edges[:3] + (Edge("p1,2'", "p1,1", (0, -1)),)),
+                  "p1,2", ("p1,1", "p1,2"), UnknownVertex("p1,2'")),
+        # p1,1 is the source of two edges
+        "twice": (TorusGraph(cycle.vertices,
+                             cycle.edges + (Edge("p1,1", "p1,3", (1, 1)),)),
+                  "p1,1", ("p1,1", "p1,2"), NotTwoRegular("p1,1", 3)),
+        # p1,2'' is listed twice
+        "listed_twice": (TorusGraph(up.vertices + ("p1,2''",), up.edges),
+                         "p1,4", ("p1,2'", "p1,2''"),
+                         DomainError("duplicate vertex id")),
+        # c is no edge's source, and x is no vertex
+        "no_edge_out": (TorusGraph(("a", "b", "c"),
+                                   (Edge("a", "b", (1, 0)), Edge("b", "c", (0, 1)),
+                                    Edge("x", "a", (-1, -1)))),
+                        "c", ("b", "c"), UnknownVertex("x")),
+        # a meets three edge ends and c one
+        "degree_3_and_1": (
+            unvalidated_graph("abc", [("a", "b"), ("b", "a"), ("c", "a")]),
+            "c", ("a", "b"), NotTwoRegular("a", 3)),
+        # b is listed twice, and as many edges as listed vertices leave the
+        # two listed names
+        "listed_twice_and_doubled": (
+            unvalidated_graph("abb", [("a", "b"), ("b", "a"), ("b", "a")]),
+            "a", ("a", "b"), NotTwoRegular("a", 3)),
+    }
+    for name, (g, v, pair, want) in cases.items():
+        for reader, arg in ((acx4.blow_up_graph, v), (acx4.blow_down_graph, pair),
+                            (acx4.weights_at, v)):
+            with pytest.raises(DomainError) as exc:
+                reader(g, arg)
+            got = (type(exc.value), str(exc.value), vars(exc.value))
+            assert got == (type(want), str(want), vars(want)), (name, reader)
 
 
 class GraphAndFamily(RuleBasedStateMachine):

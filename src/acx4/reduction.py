@@ -39,7 +39,9 @@ their values after q - 1 repeats, expands those moves into the log from
 the closed form, and runs the last repeat as ordinary iterations, which
 must make the predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2,
 4.5.3) a fan with coordinates of size N has O(log N) runs, so the cost is
-O(runs * log N) arithmetic plus one Move per logged move.  A log is capped
+O(runs * log N) arithmetic plus one record, a plain (kind, fan_index,
+position, vector) tuple, per logged move; the log builds a Move per move
+only when a caller reads its moves.  A log is capped
 at MAX_MOVES moves: a reduction that needs more raises DomainError as its
 log passes the bound, or, in a run, before the run's moves are built.
 
@@ -58,7 +60,7 @@ of moves apart from the kernel's list edits.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
 from math import inf, isqrt
 
@@ -85,7 +87,7 @@ from .multifan import (
 BLOW_UP = "blow_up"
 BLOW_DOWN = "blow_down"
 
-# The longest move log the engine builds, about 160 MB of Moves; a reduction
+# The longest move log the engine builds, about 160 MB of moves; a reduction
 # that needs more raises DomainError before its log grows past it.
 MAX_MOVES = 10**6
 
@@ -109,13 +111,91 @@ class Move:
     vector: Vec
 
 
-@dataclass(frozen=True)
-class MoveLog:
-    """A replayable witness: replay(initial, moves) == final."""
+# writes a slot of an immutable object past its own __setattr__
+_set = object.__setattr__
 
-    initial: MultiFanFamily
-    moves: tuple[Move, ...]
-    final: MultiFanFamily
+
+class MoveLog:
+    """A replayable witness: replay(initial, moves) == final.
+
+    The engine and the log reader hand a log its moves as records, plain
+    (kind, fan_index, position, vector) tuples, through from_records: a log
+    of a million moves then allocates no Move until a caller reads .moves.
+    The first read builds the tuple of Move, which every later read
+    returns, and drops the records, so a log never holds both.  ==, hash,
+    repr, pickle and copy see the same moves in either form, and a log is
+    immutable, like a frozen dataclass of its three fields.
+    """
+
+    __slots__ = ("initial", "_moves", "_records", "final")
+
+    def __init__(self, initial: MultiFanFamily, moves: tuple[Move, ...],
+                 final: MultiFanFamily):
+        _set(self, "initial", initial)
+        _set(self, "_moves", moves)
+        _set(self, "_records", None)
+        _set(self, "final", final)
+
+    @classmethod
+    def from_records(cls, initial, records, final) -> MoveLog:
+        """The log whose moves are Move(*r) for the records r, built only
+        when .moves is read."""
+        log = cls(initial, None, final)
+        _set(log, "_records", tuple(records))
+        return log
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        records = self._records
+        if records is not None:
+            _set(self, "_moves", tuple([Move(*r) for r in records]))
+            _set(self, "_records", None)
+        return self._moves
+
+    def records(self):
+        """The moves as (kind, fan_index, position, vector) tuples, read
+        without building a Move."""
+        if self._records is not None:
+            return self._records
+        return [(m.kind, m.fan_index, m.position, m.vector) for m in self._moves]
+
+    def _held(self):
+        # what the log holds: the records, or the moves once built
+        return self._moves if self._records is None else self._records
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.initial != other.initial or self.final != other.final:
+            return False
+        if (self._records is None) == (other._records is None):
+            return self._held() == other._held()
+        # records against moves, field by field; a Move compares equal only
+        # to a Move, and a tuple of moves only to a tuple
+        records, moves = ((self._records, other._moves) if other._records is None
+                          else (other._records, self._moves))
+        return (type(moves) is tuple and len(moves) == len(records) and all(
+            type(m) is Move and r == (m.kind, m.fan_index, m.position, m.vector)
+            for r, m in zip(records, moves)))
+
+    def __hash__(self):
+        # hash(Move(*r)) == hash(r), so both forms hash alike
+        return hash((self.initial, self._held(), self.final))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(initial={self.initial!r}, "
+                f"moves={self.moves!r}, final={self.final!r})")
+
+    def __reduce__(self):
+        if self._records is None:
+            return type(self), (self.initial, self._moves, self.final)
+        return type(self).from_records, (self.initial, self._records, self.final)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _lists(fam: MultiFanFamily) -> list[list[Vec]]:
@@ -126,24 +206,23 @@ def _family(fans: list[list[Vec]]) -> MultiFanFamily:
     return MultiFanFamily(tuple(MultiFan(tuple(vs)) for vs in fans))
 
 
-def _apply(fans: list[list[Vec]], move: Move) -> None:
-    """Apply one move to per-fan vector lists in place, verifying the
-    recorded vector; after a DomainError the lists are not to be used."""
-    if move.kind not in (BLOW_UP, BLOW_DOWN):
-        raise DomainError(f"unknown move kind {move.kind!r}")
-    if not 0 <= move.fan_index < len(fans):
-        raise IndexOutOfRange(move.fan_index, len(fans))
-    vs = fans[move.fan_index]
-    if move.kind == BLOW_UP:
-        got = blow_up_inplace(vs, move.position)
-        if got != move.vector:
-            raise DomainError(
-                f"recorded vector {move.vector} differs from inserted {got}")
+def apply_move(fans: list[list[Vec]], kind, fan_index, position, vector) -> None:
+    """Apply one move, given by its four fields, to per-fan vector lists in
+    place, verifying the recorded vector; after a DomainError the lists are
+    not to be used.  The engine, replay and the log reader share it."""
+    if kind not in (BLOW_UP, BLOW_DOWN):
+        raise DomainError(f"unknown move kind {kind!r}")
+    if not 0 <= fan_index < len(fans):
+        raise IndexOutOfRange(fan_index, len(fans))
+    vs = fans[fan_index]
+    if kind == BLOW_UP:
+        got = blow_up_inplace(vs, position)
+        if got != vector:
+            raise DomainError(f"recorded vector {vector} differs from inserted {got}")
         return
-    if not 0 <= move.position < len(vs) or vs[move.position] != move.vector:
-        raise DomainError(
-            f"recorded vector {move.vector} is not at position {move.position}")
-    blow_down_inplace(vs, move.position)
+    if not 0 <= position < len(vs) or vs[position] != vector:
+        raise DomainError(f"recorded vector {vector} is not at position {position}")
+    blow_down_inplace(vs, position)
 
 
 def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
@@ -154,7 +233,7 @@ def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
             # a caller's move, unlike the engine's, may hold non-int indices
             as_int(mv.fan_index, "fan_index")
             as_int(mv.position, "position")
-            _apply(fans, mv)
+            apply_move(fans, mv.kind, mv.fan_index, mv.position, mv.vector)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
         except AttributeError:
@@ -229,8 +308,9 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
     """The move script removing vector i of fan j (the current longest),
     and its run key; vs is that fan's vector list and eps its orientation.
 
-    The key is (j, i, side) for an a = 0 iteration that only replaces
-    v[i] by v[i] + side*v[i-1], and None for any other.
+    The script is a list of move records (kind, fan_index, position,
+    vector).  The key is (j, i, side) for an a = 0 iteration that only
+    replaces v[i] by v[i] + side*v[i-1], and None for any other.
     """
     k = len(vs)
     w1 = vs[(i - 1) % k]
@@ -242,19 +322,19 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
             f"self-intersection {a} at the longest vector {w}; neighbors "
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
-        return [Move(BLOW_DOWN, j, i, w)], None
+        return [(BLOW_DOWN, j, i, w)], None
     # the side to blow up: both for a = +1 (side 0), else the shorter sum
     side = 0 if a == 1 else lattice.reduction_choice(w1, w)
     # side +1 at i = 0 blows up the wrapping pair, which rotates the list
     key = (j, i, side) if side == -1 or side == 1 and i else None
     moves = []
     if side != -1:
-        moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
+        moves.append((BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
         # w moves one place right unless the pair wraps
         i = i + 1 if i else 0
     if side != 1:
-        moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
-    return moves + [Move(BLOW_DOWN, j, i, w)], key
+        moves.append((BLOW_UP, j, i, lattice.add(w, w2)))
+    return moves + [(BLOW_DOWN, j, i, w)], key
 
 
 def _too_many(count):
@@ -363,8 +443,8 @@ def _jump(block, fans, norms, moves) -> bool:
         for m, (j, up, down, (dx, dy)) in enumerate(steps):
             w = ends[m]
             ends[m] = nxt = (w[0] + dx, w[1] + dy)
-            append(Move(BLOW_UP, j, up, nxt))
-            append(Move(BLOW_DOWN, j, down, w))
+            append((BLOW_UP, j, up, nxt))
+            append((BLOW_DOWN, j, down, w))
     for (j, i), w in zip(places, ends):
         fans[j][i] = w
         norms[j].replace(i, lattice.norm_sq(w))
@@ -396,14 +476,14 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
         step, key = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
         removed = []
         grew = False
-        for mv in step:
-            _apply(fans, mv)
-            if mv.kind == BLOW_UP:
-                n = lattice.norm_sq(mv.vector)
+        for kind, _, position, vector in step:
+            apply_move(fans, kind, j, position, vector)
+            if kind == BLOW_UP:
+                n = lattice.norm_sq(vector)
                 grew = grew or n >= longest
-                norms[j].insert(mv.position + 1, n)
+                norms[j].insert(position + 1, n)
             else:
-                removed.append(norms[j].delete(mv.position))
+                removed.append(norms[j].delete(position))
         # Dershowitz-Manna: one copy of the maximum leaves and every vector
         # inserted is strictly shorter, so the norm multiset shrinks
         if grew or removed != [longest]:
@@ -430,7 +510,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     for fan in state.fans:
         if not is_minimal_fan(fan):
             raise InternalInconsistency("reduction ended on a non-unit vector")
-    return state, MoveLog(fam, tuple(moves), state)
+    return state, MoveLog.from_records(fam, moves, state)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,13 @@ Emission builds the text from fixed %-templates for these shapes, with no
 tree of dicts in between; its bytes are exactly those of
 json.dumps(obj, indent=2) + "\n" on the equivalent tree.  Parsing names the
 path of the first fault, in reading order, and spells paths only then.
+
+A log is read in one pass over its moves: each is decoded, applied and
+kept as a plain (kind, fan_index, position, vector) record, and the MoveLog
+builds Move objects only when its moves are read.  The first move that does
+not apply stops the applying but not the decoding, so a malformed move
+anywhere is reported before an inapplicable one, as when the moves are all
+read and then replayed.
 """
 
 from __future__ import annotations
@@ -48,10 +55,11 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 
 from .classify import HirzebruchForm
-from .errors import MoveInapplicable, ParseError, UnknownFormat, digit_limit
+from .errors import DomainError, MoveInapplicable, ParseError, UnknownFormat, digit_limit
 from .invariants import ChiYReport
 from .multifan import MultiFan, MultiFanFamily, validate_family
-from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, Move, MoveLog, replay
+from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, MoveLog, apply_move
+from .reduction import replay  # not called here; bench/run.py traces serialize.replay
 from .torusgraph import TorusGraph, validate_graph
 
 FORMAT_FAMILY = "acx4-fans/1"
@@ -62,6 +70,8 @@ FORMAT_REPORT = "acx4-report/1"
 _JSON_SAFE_INT = (1 << 53) - 1
 
 _KINDS = (BLOW_UP, BLOW_DOWN)
+_KIND_OF = {kind: kind for kind in _KINDS}  # a read kind to the shared constant
+_KIND_TEXT = {kind: _string(kind) for kind in _KINDS}
 
 # the report's fields derived from its counts, in document order
 _REPORT_FIELDS = ("euler", "todd", "signature", "c1_sq", "c2")
@@ -192,33 +202,52 @@ def _kind_from(obj, path) -> str:
     return kind
 
 
-def _move_from(obj, path) -> Move:
-    # a log holds thousands of moves: take a well-formed one as it is, and
-    # read any other field by field, which finds the first fault in order
-    if type(obj) is dict:
-        kind, fan, position, vector = (
-            obj.get("kind"), obj.get("fan"), obj.get("position"), obj.get("vector"))
-        if (kind in _KINDS and type(fan) is int and type(position) is int
-                and type(vector) is list and len(vector) == 2
-                and type(vector[0]) is int and type(vector[1]) is int):
-            return Move(kind, fan, position, (vector[0], vector[1]))
-    return Move(_field(obj, "kind", path, _kind_from),
-                _field(obj, "fan", path, _int_from),
-                _field(obj, "position", path, _int_from),
-                _field(obj, "vector", path, _vec_from))
+def _move_from(obj, path):
+    # a move's record, read field by field, which finds the first fault in order
+    return (_field(obj, "kind", path, _kind_from), _field(obj, "fan", path, _int_from),
+            _field(obj, "position", path, _int_from), _field(obj, "vector", path, _vec_from))
 
 
 def _log_from(data, path) -> MoveLog:
+    """Decode, apply and keep each move in one pass over the moves.
+
+    Every move is decoded before an inapplicable one is reported, as if the
+    moves were all read and then replayed: after the first move that does
+    not apply, the rest are only read.
+    """
     initial = _field(data, "initial", path, _embedded_family_from)
     final = _field(data, "final", path, _embedded_family_from)
-    moves = tuple(_field(data, "moves", path, _each(_move_from)))
-    try:
-        replayed = replay(initial, moves)
-    except MoveInapplicable as exc:
-        raise _error((path, "moves"), str(exc)) from exc
-    if replayed != final:
+    items = _field(data, "moves", path, _list_from)
+    fans = [list(fan.vectors) for fan in initial.fans]
+    records = []
+    append = records.append
+    failed = None
+    for i, obj in enumerate(items):
+        # a log holds thousands of moves: take a well-formed one as it is
+        # (json gives a two-item sequence of ints only as a list), and read
+        # any other field by field, which finds the first fault in order
+        try:
+            kind = _KIND_OF.get(obj["kind"])
+            fan, position, (x, y) = obj["fan"], obj["position"], obj["vector"]
+        except (KeyError, TypeError, ValueError):
+            kind = None
+        if (kind is None or type(fan) is not int or type(position) is not int
+                or type(x) is not int or type(y) is not int):
+            kind, fan, position, vector = _move_from(obj, ((path, "moves"), i))
+        else:
+            vector = (x, y)
+        append((kind, fan, position, vector))
+        if failed is None:
+            try:
+                apply_move(fans, kind, fan, position, vector)
+            except DomainError as exc:
+                failed = MoveInapplicable(i, str(exc))
+                failed.__cause__ = exc
+    if failed is not None:
+        raise _error((path, "moves"), str(failed)) from failed
+    if fans != [list(fan.vectors) for fan in final.fans]:
         raise _error((path, "final"), "does not match the replay of the moves")
-    return MoveLog(initial, moves, final)
+    return MoveLog.from_records(initial, records, final)
 
 
 def _counts_from(obj, path):
@@ -315,14 +344,20 @@ def _graph_text(g: TorusGraph, p) -> str:
 
 def _log_text(log: MoveLog, p) -> str:
     field = p + "      "  # a move's fields: the moves array sits two levels in
-    move = ("{\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
-            + field + '"position": %d,\n' + field + '"vector": '
-            + _vec_template(field) + "\n" + p + "    }")
+    head = ("{\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
+            + field + '"position": %d,\n' + field + '"vector": ')
+    tail = "\n" + p + "    }"
+    move = head + _vec_template(field) % ("%d", "%d") + tail
+    quoted = head + _vec_template(field) + tail  # a coordinate past 2**53 - 1
+    kinds = _KIND_TEXT
+    moves = [move % (kinds.get(kind) or _string(kind), fan, position, x, y)
+             if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
+             and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
+             quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
+             for kind, fan, position, (x, y) in log.records()]
     return _object(p, ("format", _string(FORMAT_LOG)),
                    ("initial", _family_text(log.initial, p + "  ")),
-                   ("moves", _array([move % (_string(m.kind), m.fan_index, m.position,
-                                             _int(m.vector[0]), _int(m.vector[1]))
-                                     for m in log.moves], p + "  ")),
+                   ("moves", _array(moves, p + "  ")),
                    ("final", _family_text(log.final, p + "  ")))
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import sys
 
@@ -54,12 +56,50 @@ def test_graph_document_round_trip():
     assert parse_document(emit_document(doc)) == doc
 
 
+def logs_three_ways(fam):
+    """The log of fam from the engine, from the reader, and built from Moves;
+    the first two hold records until their moves are read."""
+    _, engine = acx4.reduce_to_minimal(fam)
+    parsed = parse_document(emit_document(document_for(engine))).payload
+    _, other = acx4.reduce_to_minimal(fam)
+    return [engine, parsed, acx4.MoveLog(other.initial, tuple(other.moves), other.final)]
+
+
+def round_trips(log):
+    return [copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))]
+
+
 def test_log_document_round_trip():
     _, log = acx4.reduce_to_minimal(cp2_family())
     doc = document_for(log)
     assert doc.format == FORMAT_LOG
     again = parse_document(emit_document(doc))
     assert again == doc
+    # a log is one value whether it holds records or Moves
+    fams = [acx4.MultiFanFamily((acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
+            for n in (1, 50, 137)]
+    fams += [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), -5),)),
+             acx4.gen_random_family(4, 3, 40), acx4.make_minimal_family([1, -1])]
+    for fam in fams:
+        logs = logs_three_ways(fam)
+        text = emit_document(document_for(logs[0]))
+        every = logs + [c for log in logs for c in round_trips(log)]
+        for a in every:
+            for b in every:
+                assert a == b and hash(a) == hash(b)
+        if logs[0].records():
+            kind, fan, position, (x, y) = logs[0].records()[-1]
+            moves = logs[2].moves[:-1] + (acx4.Move(kind, fan, position, (x + 1, y)),)
+            changed = acx4.MoveLog(fam, moves, logs[0].final)
+            assert all(log != changed and changed != log for log in every)
+        assert len({repr(log) for log in every}) == 1
+        for log in logs:
+            assert log.moves is log.moves
+            assert all(type(move) is acx4.Move for move in log.moves)
+            assert emit_document(document_for(log)) == text
+        assert all(a == b and hash(a) == hash(b)
+                   for a in logs for b in logs_three_ways(fam))
+    assert logs[0].moves == ()  # the minimal family's log is empty
 
 
 def test_report_document_round_trip():
@@ -242,6 +282,7 @@ GRAPH_DOC = '{"format": "acx4-graph/1", "vertices": ["p1", "p2", "p3"], "edges":
 FANS = '{"format": "acx4-fans/1", "fans": [{"vectors": [[1, 0], [0, 1], [-1, %s]]}]}'
 LOG_DOC = '{"format": "acx4-log/1", "initial": %s, "moves": %s, "final": %s}'
 MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
+BAD_BLOW_DOWN = '{"kind": "blow_down", "fan": 0, "position": 0, "vector": [1, 0]}'
 
 
 @pytest.mark.parametrize("text, path, message", [
@@ -277,6 +318,13 @@ MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
      "moves[0].fan", "expected an integer, got 'x'"),
     (MOVE_LOG % '{"kind": "blow_up", "fan": 0, "position": 0, "vector": [1, true]}',
      "moves[0].vector[1]", "expected an integer"),
+    # every move is read before any is applied: a malformed second move
+    # beats a first move that does not apply
+    (MOVE_LOG % (BAD_BLOW_DOWN + ', {"kind": "flip", "fan": 0, "position": 0, '
+                 '"vector": [1, 1]}'),
+     "moves[1].kind", "unknown move kind 'flip'"),
+    (MOVE_LOG % BAD_BLOW_DOWN, "moves", "move 0 does not apply: no blow-down "
+     "available at 0: the vector is not the sum of its neighbors"),
     ('{"format": "acx4-log/1", "initial": %s, "moves": {}}' % (FANS % "-1"),
      "final", "missing field"),
     (LOG_DOC % (FANS % "true", "[]", FANS % "-1"),
@@ -290,7 +338,8 @@ MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
         "edge-not-object", "edge-without-to", "edge-from-not-string",
         "label-not-pair", "edges-object", "initial-is-graph", "moves-object",
         "move-not-object", "unknown-kind", "fan-not-integer", "move-without-vector",
-        "move-with-two-faults", "true-in-move-vector",
+        "move-with-two-faults", "true-in-move-vector", "read-before-applied",
+        "inapplicable-move",
         "log-without-final", "initial-true-coordinate", "final-true-coordinate",
         "report-without-c2", "count-not-integer"])
 def test_malformed_fields_name_their_path(text, path, message):

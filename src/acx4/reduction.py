@@ -41,9 +41,9 @@ must make the predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2,
 4.5.3) a fan with coordinates of size N has O(log N) runs, so the cost is
 O(runs * log N) arithmetic plus one record, a plain (kind, fan_index,
 position, vector) tuple, per logged move; the log builds a Move per move
-only when a caller reads its moves.  A log is capped
-at MAX_MOVES moves: a reduction that needs more raises DomainError as its
-log passes the bound, or, in a run, before the run's moves are built.
+only when a caller reads its moves.  A log is capped at MAX_MOVES moves:
+a reduction that needs more raises DomainError as its log passes the
+bound, or, in a run, before the run's moves are built.
 
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule

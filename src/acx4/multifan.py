@@ -161,14 +161,13 @@ def fixed_point_weights(fan: MultiFan) -> list[tuple[Vec, Vec]]:
     return [(v, (-x, -y)) for (x, y), v in zip(vs[-1:] + vs[:-1], vs)]
 
 
-def _broken(d, rewrite, i) -> InternalInconsistency:
-    return InternalInconsistency(
-        f"{rewrite} at {i}: determinant {d} breaks admissibility")
+def _check_local(v, w, rewrite, i):
+    # det(v, v+w) = det(v+w, w) = det(v, w): one determinant decides all three
+    d = lattice.det2(v, w)
+    if d != 1 and d != -1:
+        raise InternalInconsistency(
+            f"{rewrite} at {i}: determinant {d} breaks admissibility")
 
-
-# The two rewrites below test det(v, w) inline, as lattice.det2 computes it:
-# they run under every move of the engine, replay and the log reader, and a
-# call to det2 through a helper cost about a fifth of each rewrite.
 
 def blow_up_inplace(vs: list, i: int) -> Vec:
     """Insert v[i] + v[i+1] between cyclic positions i and i+1 of an
@@ -183,10 +182,7 @@ def blow_up_inplace(vs: list, i: int) -> Vec:
     v = vs[i]
     w = vs[(i + 1) % k]
     u = (v[0] + w[0], v[1] + w[1])
-    # det(v, v+w) = det(v+w, w) = det(v, w): one determinant decides all three
-    d = v[0] * w[1] - v[1] * w[0]
-    if d != 1 and d != -1:
-        raise _broken(d, "blow-up", i)
+    _check_local(v, w, "blow-up", i)
     vs.insert(i + 1, u)
     return u
 
@@ -204,9 +200,7 @@ def blow_down_inplace(vs: list, i: int) -> Vec:
     v, u, w = vs[i - 1], vs[i], vs[(i + 1) % k]
     if u != (v[0] + w[0], v[1] + w[1]):
         raise NotBlowDownable(i)
-    d = v[0] * w[1] - v[1] * w[0]
-    if d != 1 and d != -1:
-        raise _broken(d, "blow-down", i)
+    _check_local(v, w, "blow-down", i)
     del vs[i]
     return u
 

@@ -60,7 +60,8 @@ of moves apart from the kernel's list edits.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from math import inf, isqrt
 
@@ -111,91 +112,50 @@ class Move:
     vector: Vec
 
 
-# writes a slot of an immutable object past its own __setattr__
+# writes a field of a frozen dataclass past its own __setattr__
 _set = object.__setattr__
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class MoveLog:
     """A replayable witness: replay(initial, moves) == final.
 
-    The engine and the log reader hand a log its moves as records, plain
-    (kind, fan_index, position, vector) tuples, through from_records: a log
-    of a million moves then allocates no Move until a caller reads .moves.
-    The first read builds the tuple of Move, which every later read
-    returns, and drops the records, so a log never holds both.  ==, hash,
-    repr, pickle and copy see the same moves in either form, and a log is
-    immutable, like a frozen dataclass of its three fields.
+    A log holds its moves as records, plain (kind, fan_index, position,
+    vector) tuples.  The engine and the log reader hand it records through
+    from_records, so a log of a million moves allocates no Move until a
+    caller reads .moves; the first read builds the tuple of Move, which
+    every later read returns.  ==, hash and pickle work on the records, so
+    a log is one value however it was made.
     """
 
-    __slots__ = ("initial", "_moves", "_records", "final")
+    # positional patterns bind the moves, as before the records
+    __match_args__ = ("initial", "moves", "final")
+
+    initial: MultiFanFamily
+    records: tuple[tuple, ...] = field(init=False)
+    final: MultiFanFamily
 
     def __init__(self, initial: MultiFanFamily, moves: tuple[Move, ...],
                  final: MultiFanFamily):
         _set(self, "initial", initial)
-        _set(self, "_moves", moves)
-        _set(self, "_records", None)
+        _set(self, "records", tuple([(m.kind, m.fan_index, m.position, m.vector)
+                                     for m in moves]))
         _set(self, "final", final)
 
     @classmethod
     def from_records(cls, initial, records, final) -> MoveLog:
-        """The log whose moves are Move(*r) for the records r, built only
-        when .moves is read."""
-        log = cls(initial, None, final)
-        _set(log, "_records", tuple(records))
+        """The log whose moves are Move(*r) for the records r."""
+        log = cls(initial, (), final)
+        _set(log, "records", tuple(records))
         return log
 
-    @property
+    @cached_property
     def moves(self) -> tuple[Move, ...]:
-        records = self._records
-        if records is not None:
-            _set(self, "_moves", tuple([Move(*r) for r in records]))
-            _set(self, "_records", None)
-        return self._moves
-
-    def records(self):
-        """The moves as (kind, fan_index, position, vector) tuples, read
-        without building a Move."""
-        if self._records is not None:
-            return self._records
-        return [(m.kind, m.fan_index, m.position, m.vector) for m in self._moves]
-
-    def _held(self):
-        # what the log holds: the records, or the moves once built
-        return self._moves if self._records is None else self._records
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.initial != other.initial or self.final != other.final:
-            return False
-        if (self._records is None) == (other._records is None):
-            return self._held() == other._held()
-        # records against moves, field by field; a Move compares equal only
-        # to a Move, and a tuple of moves only to a tuple
-        records, moves = ((self._records, other._moves) if other._records is None
-                          else (other._records, self._moves))
-        return (type(moves) is tuple and len(moves) == len(records) and all(
-            type(m) is Move and r == (m.kind, m.fan_index, m.position, m.vector)
-            for r, m in zip(records, moves)))
-
-    def __hash__(self):
-        # hash(Move(*r)) == hash(r), so both forms hash alike
-        return hash((self.initial, self._held(), self.final))
+        return tuple([Move(*r) for r in self.records])
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(initial={self.initial!r}, "
                 f"moves={self.moves!r}, final={self.final!r})")
-
-    def __reduce__(self):
-        if self._records is None:
-            return type(self), (self.initial, self._moves, self.final)
-        return type(self).from_records, (self.initial, self._records, self.final)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _lists(fam: MultiFanFamily) -> list[list[Vec]]:

@@ -354,7 +354,7 @@ def _log_text(log: MoveLog, p) -> str:
              if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
              and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
              quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
-             for kind, fan, position, (x, y) in log.records()]
+             for kind, fan, position, (x, y) in log.records]
     return _object(p, ("format", _string(FORMAT_LOG)),
                    ("initial", _family_text(log.initial, p + "  ")),
                    ("moves", _array(moves, p + "  ")),

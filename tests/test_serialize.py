@@ -57,8 +57,7 @@ def test_graph_document_round_trip():
 
 
 def logs_three_ways(fam):
-    """The log of fam from the engine, from the reader, and built from Moves;
-    the first two hold records until their moves are read."""
+    """The log of fam from the engine, from the reader, and built from Moves."""
     _, engine = acx4.reduce_to_minimal(fam)
     parsed = parse_document(emit_document(document_for(engine))).payload
     _, other = acx4.reduce_to_minimal(fam)
@@ -75,7 +74,7 @@ def test_log_document_round_trip():
     assert doc.format == FORMAT_LOG
     again = parse_document(emit_document(doc))
     assert again == doc
-    # a log is one value whether it holds records or Moves
+    # a log is one value however it was made, and before or after .moves
     fams = [acx4.MultiFanFamily((acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
             for n in (1, 50, 137)]
     fams += [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), -5),)),
@@ -87,8 +86,8 @@ def test_log_document_round_trip():
         for a in every:
             for b in every:
                 assert a == b and hash(a) == hash(b)
-        if logs[0].records():
-            kind, fan, position, (x, y) = logs[0].records()[-1]
+        if logs[0].records:
+            kind, fan, position, (x, y) = logs[0].records[-1]
             moves = logs[2].moves[:-1] + (acx4.Move(kind, fan, position, (x + 1, y)),)
             changed = acx4.MoveLog(fam, moves, logs[0].final)
             assert all(log != changed and changed != log for log in every)

@@ -171,7 +171,9 @@ def _cmd_replay(args):
     doc = _load_document(args.log)
     if doc.format != FORMAT_LOG:
         raise DomainError(f"{args.log}: expected a move-log document, got {doc.format}")
-    _emit(replay(_load_family(args.file), doc.payload.moves))
+    log, family = doc.payload, _load_family(args.file)
+    # reading the log replayed its moves from its initial family already
+    _emit(log.final if family == log.initial else replay(family, log.moves))
     return 0
 
 

@@ -35,15 +35,17 @@ makes in repeat r (which vector is first longest, with the tie-break; the
 reduction_choice side; that the inserted vector is strictly shorter than
 the one removed) is a quadratic inequality in r, so isqrt gives the exact
 number q of repeats that keep them all.  The engine sets the vectors to
-their values after q - 1 repeats, expands those moves into the log from
-the closed form, and runs the last repeat as ordinary iterations, which
-must make the predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2,
-4.5.3) a fan with coordinates of size N has O(log N) runs, so the cost is
+their values after q - 1 repeats, logs those repeats as one Run entry,
+and runs the last repeat as ordinary iterations, which must make the
+predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2, 4.5.3) a fan
+with coordinates of size N has O(log N) runs, so the cost is
 O(runs * log N) arithmetic plus one record, a plain (kind, fan_index,
-position, vector) tuple, per logged move; the log builds a Move per move
-only when a caller reads its moves.  A log is capped at MAX_MOVES moves:
-a reduction that needs more raises DomainError as its log passes the
-bound, or, in a run, before the run's moves are built.
+position, vector) tuple, per move outside a run; the log expands its runs
+into records, and builds a Move per move, only when a caller reads them.
+A log is capped at MAX_MOVES moves: a reduction that needs more raises
+DomainError as its log passes the bound, or before it takes a run that
+would.  repeated_block and run_steps, which find a run and give its
+steps, are shared with the log reader in serialize.
 
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule
@@ -60,6 +62,7 @@ of moves apart from the kernel's list edits.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -112,46 +115,96 @@ class Move:
     vector: Vec
 
 
+class Run(namedtuple("Run", ("steps", "starts", "count"))):
+    """count repeats of a block of a = 0 steps, kept unexpanded in a log.
+
+    Step m, steps[m] = (fan_index, up, down, delta), takes the vector
+    w = starts[m] + r*delta to w + delta in repeat r by the two moves
+    (blow_up, fan_index, up, w + delta) and (blow_down, fan_index, down, w);
+    a repeat makes the steps in order.
+    """
+
+    __slots__ = ()
+
+    def records(self) -> list[tuple]:
+        """The run's moves as records, in log order."""
+        out = []
+        append = out.append
+        ends = list(self.starts)
+        for _ in range(self.count):
+            for m, (j, up, down, (dx, dy)) in enumerate(self.steps):
+                w = ends[m]
+                ends[m] = nxt = (w[0] + dx, w[1] + dy)
+                append((BLOW_UP, j, up, nxt))
+                append((BLOW_DOWN, j, down, w))
+        return out
+
+
 # writes a field of a frozen dataclass past its own __setattr__
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class MoveLog:
     """A replayable witness: replay(initial, moves) == final.
 
-    A log holds its moves as records, plain (kind, fan_index, position,
-    vector) tuples.  The engine and the log reader hand it records through
-    from_records, so a log of a million moves allocates no Move until a
-    caller reads .moves; the first read builds the tuple of Move, which
-    every later read returns.  ==, hash and pickle work on the records, so
-    a log is one value however it was made.
+    A log holds its moves as entries: records, plain (kind, fan_index,
+    position, vector) tuples, and Runs, each standing for the records of
+    its repeats.  The engine and the log reader hand it entries through
+    from_records, so a run of any length is one entry and a log allocates
+    no Move until a caller reads .moves.  .records (the expanded records)
+    and .moves are built on first read, and every later read returns the
+    same tuple.  == and hash compare the expanded records, so a log is one
+    value however it was made and however its runs are cut.
     """
 
-    # positional patterns bind the moves, as before the records
+    # positional patterns bind the moves, as before the entries
     __match_args__ = ("initial", "moves", "final")
 
     initial: MultiFanFamily
-    records: tuple[tuple, ...] = field(init=False)
+    entries: tuple[tuple, ...] = field(init=False)
     final: MultiFanFamily
 
     def __init__(self, initial: MultiFanFamily, moves: tuple[Move, ...],
                  final: MultiFanFamily):
         _set(self, "initial", initial)
-        _set(self, "records", tuple([(m.kind, m.fan_index, m.position, m.vector)
+        _set(self, "entries", tuple([(m.kind, m.fan_index, m.position, m.vector)
                                      for m in moves]))
         _set(self, "final", final)
 
     @classmethod
     def from_records(cls, initial, records, final) -> MoveLog:
-        """The log whose moves are Move(*r) for the records r."""
+        """The log whose moves are Move(*r) for the records r; a Run among
+        them stands for the records it expands to."""
         log = cls(initial, (), final)
-        _set(log, "records", tuple(records))
+        _set(log, "entries", tuple(records))
         return log
+
+    @cached_property
+    def records(self) -> tuple[tuple, ...]:
+        if Run not in map(type, self.entries):
+            return self.entries
+        out = []
+        for entry in self.entries:
+            if type(entry) is Run:
+                out += entry.records()
+            else:
+                out.append(entry)
+        return tuple(out)
 
     @cached_property
     def moves(self) -> tuple[Move, ...]:
         return tuple([Move(*r) for r in self.records])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal entries expand to equal records; runs cut otherwise still may
+        return (self.initial == other.initial and self.final == other.final
+                and (self.entries == other.entries or self.records == other.records))
+
+    def __hash__(self):
+        return hash((self.initial, self.records, self.final))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(initial={self.initial!r}, "
@@ -302,10 +355,16 @@ def _too_many(count):
                        f"more than MAX_MOVES = {MAX_MOVES}")
 
 
-def _repeated_block(keys, fans):
+def repeated_block(keys, fans):
     """The last p run keys when they repeat the p keys before them and
     none of their iterations touches another's neighbors; None when no
-    p <= len(keys) / 2 does."""
+    p <= len(keys) / 2 does.
+
+    keys is the list of run keys since the last run, the latest last; it
+    is cut here to two repeats of the longest block.  The engine and the
+    log reader share it.
+    """
+    del keys[: -2 * _MAX_BLOCK * len(fans)]
     key = keys[-1]
     for p in range(1, len(keys) // 2 + 1):
         if keys[-1 - p] != key:
@@ -316,6 +375,18 @@ def _repeated_block(keys, fans):
                 for n, (j, i, _) in enumerate(block) for j2, i2, _ in block[n + 1 :]):
             return block
     return None
+
+
+def run_steps(block, fans) -> list[tuple[int, int, int, Vec]]:
+    """The Run steps (fan_index, up, down, delta) of a block of run keys.
+
+    The iteration with key (j, i, side) takes v[i] of fan j to v[i] + delta,
+    delta = side*v[i-1], by a blow-up at i - 1 and a blow-down at i + 1
+    when side is +1, and by both at i when side is -1.
+    """
+    return [(j, i if side < 0 else i - 1, i if side < 0 else i + 1,
+             (side * fans[j][i - 1][0], side * fans[j][i - 1][1]))
+            for j, i, side in block]
 
 
 def _quad(u, d):
@@ -358,7 +429,7 @@ def _longest(norms, top=-1):
     return top, j
 
 
-def _jump(block, fans, norms, moves) -> bool:
+def _jump(block, fans, norms, logged) -> Run | None:
     """Take all but the last repeat of a repeating block in closed form.
 
     Repeat r of the block's iteration m at place (j, i) replaces
@@ -368,12 +439,13 @@ def _jump(block, fans, norms, moves) -> bool:
     shorter than w (reduction_choice then picks side).  The first r that
     fails one of these quadratic inequalities ends the run after q
     repeats.  For q >= 2 the vectors move to their values after q - 1
-    repeats and the moves join the log; the result says whether they did.
+    repeats, and the result is the Run of those repeats, for the log;
+    otherwise it is None.  logged is the number of moves logged so far.
     """
     places = [(j, i) for j, i, _ in block]
     start = [fans[j][i] for j, i in places]
-    deltas = [(side * fans[j][i - 1][0], side * fans[j][i - 1][1])
-              for j, i, side in block]
+    steps = run_steps(block, fans)
+    deltas = [d for *_, d in steps]
     # the longest vector the run leaves alone, and its first place
     for j, i in places:
         norms[j].replace(i, 0)
@@ -392,23 +464,14 @@ def _jump(block, fans, norms, moves) -> bool:
                 bounds.append((qa - ra, qb - rb, qc - rc + 1 - (place2 < place)))
     # finite: norm(r) is a convex quadratic in r, so it stops falling
     q = min(_first_failure(*bound) for bound in bounds)
-    count = len(moves) + 2 * len(block) * q
+    count = logged + 2 * len(block) * q
     if count > MAX_MOVES:
         raise _too_many(count)
-    ends = list(start)
-    steps = [(j, i if side < 0 else i - 1, i if side < 0 else i + 1, d)
-             for (j, i, side), d in zip(block, deltas)]
-    append = moves.append
-    for _ in range(q - 1):
-        for m, (j, up, down, (dx, dy)) in enumerate(steps):
-            w = ends[m]
-            ends[m] = nxt = (w[0] + dx, w[1] + dy)
-            append((BLOW_UP, j, up, nxt))
-            append((BLOW_DOWN, j, down, w))
-    for (j, i), w in zip(places, ends):
-        fans[j][i] = w
+    r = max(q - 1, 0)
+    for (j, i), (x, y), (dx, dy) in zip(places, start, deltas):
+        fans[j][i] = w = (x + r * dx, y + r * dy)
         norms[j].replace(i, lattice.norm_sq(w))
-    return q >= 2
+    return Run(tuple(steps), tuple(start), r) if r else None
 
 
 _RUN_MISSED = "the iterations after a jump are not the last repeat of its run"
@@ -425,9 +488,9 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     fans = _lists(fam)
     norms = [_NormBlocks(vs) for vs in fans]
     signs = [orientation(fan) for fan in fam.fans]
-    moves = []
+    entries = []
+    logged = 0  # the moves the entries stand for
     keys = []  # the latest run keys, none of them None, since the last jump
-    window = 2 * _MAX_BLOCK * len(fans)  # two repeats of the longest block
     expect = []  # the keys of a run's last repeat, still to come
     while True:
         longest, j = _longest(norms, 1)
@@ -451,17 +514,19 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
                 "norm profile failed to decrease in an iteration")
         if expect and key != expect.pop(0):
             raise InternalInconsistency(_RUN_MISSED)
-        moves.extend(step)
-        if len(moves) > MAX_MOVES:
-            raise _too_many(len(moves))
+        entries += step
+        logged += len(step)
+        if logged > MAX_MOVES:
+            raise _too_many(logged)
         if key is None:
             keys.clear()  # no block holds this iteration
             continue
         keys.append(key)
-        if len(keys) > window:
-            del keys[0]
-        block = _repeated_block(keys, fans)
-        if block and _jump(block, fans, norms, moves):
+        block = repeated_block(keys, fans)
+        run = block and _jump(block, fans, norms, logged)
+        if run:
+            entries.append(run)
+            logged += 2 * len(block) * run.count
             keys.clear()
             expect = block
     if expect:
@@ -470,7 +535,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     for fan in state.fans:
         if not is_minimal_fan(fan):
             raise InternalInconsistency("reduction ended on a non-unit vector")
-    return state, MoveLog.from_records(fam, moves, state)
+    return state, MoveLog.from_records(fam, entries, state)
 
 
 @dataclass(frozen=True)

@@ -42,23 +42,38 @@ path of the first fault, in reading order, and spells paths only then.
 
 A log is read in one pass over its moves: each is decoded, applied and
 kept as a plain (kind, fan_index, position, vector) record, and the MoveLog
-builds Move objects only when its moves are read.  The first move that does
-not apply stops the applying but not the decoding, so a malformed move
+builds Move objects only when its moves are read.  The reader recognises
+the engine's runs as it goes: once a block of a = 0 steps has been applied
+twice, each further repeat is checked field by field against the run's
+closed form instead of applied, and the repeats are kept as one Run, which
+the emitter writes out straight from its closed form.  The first move that
+does not apply stops the applying but not the decoding, so a malformed move
 anywhere is reported before an inapplicable one, as when the moves are all
-read and then replayed.
+read and then replayed; a move that departs from a run's closed form is
+read again step by step, so it fails with the same path and message.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 
 from .classify import HirzebruchForm
 from .errors import DomainError, MoveInapplicable, ParseError, UnknownFormat, digit_limit
 from .invariants import ChiYReport
 from .multifan import MultiFan, MultiFanFamily, validate_family
-from .reduction import BLOW_DOWN, BLOW_UP, ComplexModel, MoveLog, apply_move
+from .reduction import (
+    BLOW_DOWN,
+    BLOW_UP,
+    ComplexModel,
+    MoveLog,
+    Run,
+    apply_move,
+    repeated_block,
+    run_steps,
+)
 from .reduction import replay  # not called here; bench/run.py traces serialize.replay
 from .torusgraph import TorusGraph, validate_graph
 
@@ -208,21 +223,72 @@ def _move_from(obj, path):
             _field(obj, "position", path, _int_from), _field(obj, "vector", path, _vec_from))
 
 
+def _run_from(items, n, block, fans):
+    """The Run of the further repeats of a block that items[n:] log exactly
+    as predicted, with the fans set past them; None if the next repeat
+    departs from the prediction.
+
+    Step m of repeat r must read blow_up(j, up, w + delta) and then
+    blow_down(j, down, w), w = v + r*delta for v the step's vector now,
+    with every index and coordinate an int.  The block's steps touch no
+    step's neighbors, so each delta, the zero sum of each step's neighbors
+    and every determinant the kernel checks stay as they were in the
+    repeats just applied: such a repeat is one apply_move accepts, with
+    the same effect.
+    """
+    steps = run_steps(block, fans)
+    starts = [fans[j][i] for j, i, _ in block]
+    block_steps = [(j, up, down, dx, dy, list(w))
+                   for (j, up, down, (dx, dy)), w in zip(steps, starts)]
+    count = 0
+    try:
+        while True:
+            for j, up, down, dx, dy, w in block_steps:
+                o, d = items[n], items[n + 1]
+                n += 2
+                wx, wy = w
+                f1, p1, (ux, uy) = o["fan"], o["position"], o["vector"]
+                f2, p2, (vx, vy) = d["fan"], d["position"], d["vector"]
+                if not (vx == wx and vy == wy and ux == wx + dx and uy == wy + dy
+                        and f1 == j and f2 == j and p1 == up and p2 == down
+                        and o["kind"] == BLOW_UP and d["kind"] == BLOW_DOWN
+                        and int is type(f1) is type(f2) is type(p1) is type(p2)
+                        is type(ux) is type(uy) is type(vx) is type(vy)):
+                    raise ValueError
+                w[0], w[1] = ux, uy
+            count += 1
+    except (KeyError, TypeError, IndexError, ValueError):
+        pass  # the repeat under way departs: the steps read it again
+    if not count:
+        return None
+    for (j, i, _), (x, y), (*_, (dx, dy)) in zip(block, starts, steps):
+        fans[j][i] = (x + count * dx, y + count * dy)
+    return Run(tuple(steps), tuple(starts), count)
+
+
 def _log_from(data, path) -> MoveLog:
     """Decode, apply and keep each move in one pass over the moves.
 
     Every move is decoded before an inapplicable one is reported, as if the
     moves were all read and then replayed: after the first move that does
-    not apply, the rest are only read.
+    not apply, the rest are only read.  A blow-up and the blow-down after
+    it form the engine's run key of an a = 0 step when their positions fit
+    one; once a block of keys repeats, _run_from takes its further repeats
+    in closed form, and the moves from the first one it does not take are
+    read step by step again.
     """
     initial = _field(data, "initial", path, _embedded_family_from)
     final = _field(data, "final", path, _embedded_family_from)
     items = _field(data, "moves", path, _list_from)
     fans = [list(fan.vectors) for fan in initial.fans]
-    records = []
-    append = records.append
+    entries = []
+    append = entries.append
     failed = None
-    for i, obj in enumerate(items):
+    keys = []  # the run keys of the pairs applied since the last run
+    up = None  # (fan, position) of the move before, a blow-up not yet paired
+    i = 0
+    while i < len(items):
+        obj = items[i]
         # a log holds thousands of moves: take a well-formed one as it is
         # (json gives a two-item sequence of ints only as a list), and read
         # any other field by field, which finds the first fault in order
@@ -237,17 +303,43 @@ def _log_from(data, path) -> MoveLog:
         else:
             vector = (x, y)
         append((kind, fan, position, vector))
-        if failed is None:
-            try:
-                apply_move(fans, kind, fan, position, vector)
-            except DomainError as exc:
-                failed = MoveInapplicable(i, str(exc))
-                failed.__cause__ = exc
+        i += 1
+        if failed is not None:
+            continue
+        try:
+            apply_move(fans, kind, fan, position, vector)
+        except DomainError as exc:
+            failed = MoveInapplicable(i - 1, str(exc))
+            failed.__cause__ = exc
+            continue
+        if kind == BLOW_UP:
+            if up:
+                keys.clear()
+            up = (fan, position)
+            continue
+        key = None
+        if up and up[0] == fan:
+            if position == up[1]:
+                key = (fan, position, -1)
+            elif position == up[1] + 2:
+                key = (fan, position - 1, 1)
+        up = None
+        if key is None:
+            keys.clear()
+            continue
+        keys.append(key)
+        block = repeated_block(keys, fans)
+        if block:
+            keys.clear()
+            run = _run_from(items, i, block, fans)
+            if run:
+                append(run)
+                i += 2 * len(block) * run.count
     if failed is not None:
         raise _error((path, "moves"), str(failed)) from failed
     if fans != [list(fan.vectors) for fan in final.fans]:
         raise _error((path, "final"), "does not match the replay of the moves")
-    return MoveLog.from_records(initial, records, final)
+    return MoveLog.from_records(initial, entries, final)
 
 
 def _counts_from(obj, path):
@@ -299,18 +391,26 @@ def _int(n: int) -> str:
 
 
 def _array(items, p) -> str:
-    """A JSON array of formatted items, its closing bracket at indent p."""
+    """A JSON array of formatted items, its closing bracket at indent p.
+
+    This and _object join their parts once: a log's moves run to megabytes,
+    which each + or % over the whole text would copy again.
+    """
     if not items:
         return "[]"
     inner = "\n" + p + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + p + "]"
+    return "".join(["[", inner, ("," + inner).join(items), "\n", p, "]"])
 
 
 def _object(p, *fields) -> str:
-    """A JSON object of (key, formatted value) pairs, its brace at indent p."""
+    """A JSON object of one or more (key, formatted value) pairs, its brace
+    at indent p."""
     inner = "\n" + p + "  "
-    return ("{" + inner + ("," + inner).join('"%s": %s' % f for f in fields)
-            + "\n" + p + "}")
+    parts = ["{"]
+    for key, value in fields:
+        parts += [inner, '"%s": ' % key, value, ","]
+    parts[-1] = "\n" + p + "}"  # in place of the last comma
+    return "".join(parts)
 
 
 def _vec_template(p) -> str:
@@ -342,19 +442,50 @@ def _graph_text(g: TorusGraph, p) -> str:
                                      for e in g.edges], p + "  ")))
 
 
+def _progression(x, dx, n):
+    """x, x + dx, ..., x + (n - 1)*dx."""
+    return range(x, x + n * dx, dx) if dx else repeat(x, n)
+
+
 def _log_text(log: MoveLog, p) -> str:
     field = p + "      "  # a move's fields: the moves array sits two levels in
     head = ("{\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
             + field + '"position": %d,\n' + field + '"vector": ')
+    vec = _vec_template(field) % ("%d", "%d")
     tail = "\n" + p + "    }"
-    move = head + _vec_template(field) % ("%d", "%d") + tail
+    move = head + vec + tail
     quoted = head + _vec_template(field) + tail  # a coordinate past 2**53 - 1
     kinds = _KIND_TEXT
-    moves = [move % (kinds.get(kind) or _string(kind), fan, position, x, y)
-             if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
-             and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
-             quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
-             for kind, fan, position, (x, y) in log.records]
+
+    def texts(records):
+        return [move % (kinds.get(kind) or _string(kind), fan, position, x, y)
+                if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
+                and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
+                quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
+                for kind, fan, position, (x, y) in records]
+
+    moves = []
+    for cls, entries in groupby(log.entries, type):
+        if cls is not Run:
+            moves += texts(entries)
+            continue
+        for run in entries:
+            # each step's vectors w + r*delta, r = 0..count, in order
+            paths = [list(zip(_progression(x, dx, run.count + 1),
+                              _progression(y, dy, run.count + 1)))
+                     for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)]
+            if any(abs(c) > _JSON_SAFE_INT for path in paths
+                   for c in path[0] + path[-1]):  # a path's extremes are its ends
+                moves += texts(run.records())
+                continue
+            columns = []
+            for (j, up, down, _), path in zip(run.steps, paths):
+                # a formatted head holds no %, so these are templates of the vector
+                up_move = head % (kinds[BLOW_UP], j, up) + vec + tail
+                down_move = head % (kinds[BLOW_DOWN], j, down) + vec + tail
+                columns += [[up_move % w for w in path[1:]],
+                            [down_move % w for w in path[:-1]]]
+            moves += chain.from_iterable(zip(*columns))
     return _object(p, ("format", _string(FORMAT_LOG)),
                    ("initial", _family_text(log.initial, p + "  ")),
                    ("moves", _array(moves, p + "  ")),

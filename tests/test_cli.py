@@ -210,6 +210,37 @@ def test_replay_against_wrong_family(cp2_path, tmp_path, capsys):
     assert "move 0" in capsys.readouterr().err
 
 
+def test_replay_of_the_logs_own_family_replays_once(cp2_path, tmp_path, monkeypatch,
+                                                    capsys):
+    # reading the log replays it from its initial family; given that family,
+    # replay --log writes the log's final family and replays nothing again
+    calls = []
+
+    def spy(initial, moves):
+        calls.append(len(moves))
+        return acx4.replay(initial, moves)
+
+    monkeypatch.setattr(cli, "replay", spy)
+    euclid = write_family(tmp_path, "euclid.json", acx4.MultiFanFamily(
+        (acx4.validate_multifan([(1, 0), (300, 1), (-301, -1)]),)))
+    for path in (cp2_path, euclid):
+        log_path = str(tmp_path / "log.json")
+        assert cli_main(["minimize", path, "--log", log_path]) == 0
+        minimal = capsys.readouterr().out
+        assert cli_main(["convert", "--to", "graph", path]) == 0
+        graph = write_family(tmp_path, "graph.json", parse_document(
+            capsys.readouterr().out).payload)
+        for given in (path, graph):
+            assert cli_main(["replay", "--log", log_path, given]) == 0
+            assert capsys.readouterr().out == minimal
+    assert calls == []
+    other = write_family(tmp_path, "sigma5.json", acx4.MultiFanFamily(
+        (acx4.make_hirzebruch_fan((1, 0), (0, 1), 5),)))
+    assert cli_main(["replay", "--log", log_path, other]) == 1
+    assert calls == [4 * 300 + 3]
+    assert "move 0" in capsys.readouterr().err
+
+
 def test_convert_both_ways(cp2_path, tmp_path, capsys):
     assert cli_main(["convert", "--to", "graph", cp2_path]) == 0
     graph_text = capsys.readouterr().out

@@ -22,10 +22,11 @@ from acx4.errors import (
     IndexOutOfRange,
     InternalInconsistency,
     MoveInapplicable,
+    ParseError,
 )
 from acx4.multifan import MultiFan
-from acx4.reduction import BLOW_DOWN, BLOW_UP, Move
-from acx4.serialize import document_for, emit_document
+from acx4.reduction import BLOW_DOWN, BLOW_UP, Move, Run
+from acx4.serialize import document_for, emit_document, parse_document
 
 
 def log_text(log):
@@ -133,7 +134,7 @@ def test_logs_match_reference_on_sl2_images():
             assert_same_reduction(acx4.MultiFanFamily((image(matrix, fan),)))
 
 
-def test_logs_match_reference_on_two_fan_runs():
+def two_fan_run_families():
     # both fans hold runs; equal fans tie on the longest norm across fans,
     # so a run's block takes turns between them
     euclid = [euclid_family(n).fans[0] for n in (7, 40)]
@@ -141,14 +142,16 @@ def test_logs_match_reference_on_two_fan_runs():
     rng = random.Random(0x52)
     turned = [image(random_sl2(rng, 30), fan) for fan in euclid + hirzebruch]
     fans = euclid + hirzebruch + turned
-    for f1 in fans:
-        for f2 in fans:
-            assert_same_reduction(acx4.MultiFanFamily((f1, f2)))
-    for copies in (3, 4):
-        for n in (5, 40):
-            assert_same_reduction(acx4.MultiFanFamily(euclid_family(n).fans * copies))
-    assert_same_reduction(acx4.MultiFanFamily(
-        tuple(euclid_family(n).fans[0] for n in (40, 40, 7, 40))))
+    fams = [acx4.MultiFanFamily((f1, f2)) for f1 in fans for f2 in fans]
+    fams += [acx4.MultiFanFamily(euclid_family(n).fans * copies)
+             for copies in (3, 4) for n in (5, 40)]
+    fams.append(acx4.MultiFanFamily(tuple(euclid_family(n).fans[0] for n in (40, 40, 7, 40))))
+    return fams
+
+
+def test_logs_match_reference_on_two_fan_runs():
+    for fam in two_fan_run_families():
+        assert_same_reduction(fam)
 
 
 def test_runs_take_few_checked_iterations(monkeypatch):
@@ -165,6 +168,9 @@ def test_runs_take_few_checked_iterations(monkeypatch):
     _, log = acx4.reduce_to_minimal(euclid_family(10**4))
     assert len(log.moves) == 4 * 10**4 + 3
     assert len(calls) < 64
+    # the log keeps its runs, and so does the log reader
+    assert len(log.entries) < 64
+    assert len(parse_document(log_text(log)).payload.entries) < 64
     calls.clear()
     log, _ = acx4.normalize_complex(hirzebruch_fan(10**5))
     assert len(log.moves) == 2 * 10**5
@@ -302,6 +308,47 @@ def test_corrupted_logs_fail_like_the_reference():
         if got[0] is MoveInapplicable:
             failures += 1
     assert failures > 300
+
+
+def test_reader_checks_each_move_of_a_run_like_the_reference():
+    # the log reader takes a run's repeats after its first two by the closed
+    # form; a move corrupted anywhere in a run or just after it must fail
+    # as the stepwise reference replay fails
+    rng = random.Random(0x53)
+    fams = [euclid_family(n) for n in range(1, 61)]
+    fams += [acx4.MultiFanFamily((hirzebruch_fan(s * n),)) for n in range(1, 61) for s in (1, -1)]
+    fams += two_fan_run_families()
+    runs = 0
+    for fam in fams:
+        _, log = acx4.reduce_to_minimal(fam)
+        parsed = parse_document(log_text(log)).payload
+        assert parsed == log
+        moves = list(log.moves)
+        start = 0
+        for entry in parsed.entries:
+            size = 2 * len(entry.steps) * entry.count if type(entry) is Run else 1
+            if type(entry) is Run:
+                runs += 1
+                end = start + size
+                # the first pair, a middle one, the last one, the move after
+                middle = start + 2 * len(entry.steps) * (entry.count // 2)
+                for t in (start + rng.randrange(2), middle + rng.randrange(2),
+                          end - 1 - rng.randrange(2), end):
+                    if t == len(moves):
+                        continue
+                    bad = moves[:t] + [corrupt(moves[t], rng, len(fam.fans))] + moves[t + 1:]
+                    want = outcome(oracles.reference_replay, fam, bad)
+                    with pytest.raises(ParseError) as exc:
+                        parse_document(log_text(acx4.MoveLog(fam, tuple(bad), log.final)))
+                    if bad[t].kind not in (BLOW_UP, BLOW_DOWN):
+                        assert exc.value.path == f"moves[{t}].kind"
+                    elif want[0] is MoveInapplicable:
+                        assert (exc.value.path, str(exc.value)) == ("moves", "moves: " + want[1])
+                    else:
+                        assert want[0] == "ok" and want[1] != log.final
+                        assert exc.value.path == "final"
+            start += size
+    assert runs >= len(fams)
 
 
 def test_fan_rewrite_errors_match_reference():

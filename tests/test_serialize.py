@@ -75,8 +75,10 @@ def test_log_document_round_trip():
     again = parse_document(emit_document(doc))
     assert again == doc
     # a log is one value however it was made, and before or after .moves
-    fams = [acx4.MultiFanFamily((acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
-            for n in (1, 50, 137)]
+    euclid = [acx4.MultiFanFamily((acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
+              for n in (1, 50, 137, 10**4, 40)]
+    # the engine and the reader may cut a log's runs differently
+    fams = euclid[:4] + [acx4.MultiFanFamily(euclid[4].fans * 3)]
     fams += [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), -5),)),
              acx4.gen_random_family(4, 3, 40), acx4.make_minimal_family([1, -1])]
     for fam in fams:
@@ -282,6 +284,16 @@ FANS = '{"format": "acx4-fans/1", "fans": [{"vectors": [[1, 0], [0, 1], [-1, %s]
 LOG_DOC = '{"format": "acx4-log/1", "initial": %s, "moves": %s, "final": %s}'
 MOVE_LOG = LOG_DOC % (FANS % "-1", "[%s]", FANS % "-1")
 BAD_BLOW_DOWN = '{"kind": "blow_down", "fan": 0, "position": 0, "vector": [1, 0]}'
+EUCLID_LOG = emit_document(document_for(acx4.reduce_to_minimal(acx4.MultiFanFamily(
+    (acx4.validate_multifan([(1, 0), (1000, 1), (-1001, -1)]),)))[1]))
+
+
+def euclid_log(index, edit):
+    """The log of the euclid fan N = 1000 with edit applied to one move; the
+    reader takes its moves 9 to 4000 as one run."""
+    data = json.loads(EUCLID_LOG)
+    edit(data["moves"][index])
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize("text, path, message", [
@@ -330,6 +342,15 @@ BAD_BLOW_DOWN = '{"kind": "blow_down", "fan": 0, "position": 0, "vector": [1, 0]
      "initial.fans[0].vectors[2][1]", "expected an integer"),
     (LOG_DOC % (FANS % "-1", "[]", FANS % "true"),
      "final.fans[0].vectors[2][1]", "expected an integer"),
+    # inside a run, a field equal to the one predicted is still read by type
+    (euclid_log(2003, lambda move: move.update(position=True)),
+     "moves[2003].position", "expected an integer"),
+    (euclid_log(2003, lambda move: move.update(fan=False)),
+     "moves[2003].fan", "expected an integer"),
+    (euclid_log(2003, lambda move: move.update(vector=[move["vector"][0], 1.0])),
+     "moves[2003].vector[1]", "expected an integer, got 1.0"),
+    (euclid_log(2002, lambda move: move["vector"].__setitem__(0, move["vector"][0] + 1)),
+     "moves", "move 2002 does not apply: recorded vector (-500, -1) is not at position 3"),
     (REPORT_DOC.replace(', "c2": 3', "") % "[1, 1, 1]", "c2", "missing field"),
     (REPORT_DOC % '[1, "x", 1]', "a[1]", "expected an integer, got 'x'"),
 ], ids=["fan-not-object", "true-coordinate", "float-coordinate", "fans-object",
@@ -340,6 +361,7 @@ BAD_BLOW_DOWN = '{"kind": "blow_down", "fan": 0, "position": 0, "vector": [1, 0]
         "move-with-two-faults", "true-in-move-vector", "read-before-applied",
         "inapplicable-move",
         "log-without-final", "initial-true-coordinate", "final-true-coordinate",
+        "run-true-position", "run-false-fan", "run-float-coordinate", "run-moved-vector",
         "report-without-c2", "count-not-integer"])
 def test_malformed_fields_name_their_path(text, path, message):
     with pytest.raises(ParseError) as exc:

@@ -223,27 +223,19 @@ def _move_from(obj, path):
             _field(obj, "position", path, _int_from), _field(obj, "vector", path, _vec_from))
 
 
-def _run_from(items, n, block, fans):
-    """The Run of the further repeats of a block that items[n:] log exactly
-    as predicted, with the fans set past them; None if the next repeat
-    departs from the prediction.
+def _repeats(items, n, steps, starts) -> int:
+    """How many repeats of a run's steps items[n:] log exactly as predicted.
 
     Step m of repeat r must read blow_up(j, up, w + delta) and then
-    blow_down(j, down, w), w = v + r*delta for v the step's vector now,
-    with every index and coordinate an int.  The block's steps touch no
-    step's neighbors, so each delta, the zero sum of each step's neighbors
-    and every determinant the kernel checks stay as they were in the
-    repeats just applied: such a repeat is one apply_move accepts, with
-    the same effect.
+    blow_down(j, down, w), w = starts[m] + r*delta, with every index and
+    coordinate an int.
     """
-    steps = run_steps(block, fans)
-    starts = [fans[j][i] for j, i, _ in block]
-    block_steps = [(j, up, down, dx, dy, list(w))
-                   for (j, up, down, (dx, dy)), w in zip(steps, starts)]
+    track = [(j, up, down, dx, dy, list(w))
+             for (j, up, down, (dx, dy)), w in zip(steps, starts)]
     count = 0
     try:
         while True:
-            for j, up, down, dx, dy, w in block_steps:
+            for j, up, down, dx, dy, w in track:
                 o, d = items[n], items[n + 1]
                 n += 2
                 wx, wy = w
@@ -254,11 +246,26 @@ def _run_from(items, n, block, fans):
                         and o["kind"] == BLOW_UP and d["kind"] == BLOW_DOWN
                         and int is type(f1) is type(f2) is type(p1) is type(p2)
                         is type(ux) is type(uy) is type(vx) is type(vy)):
-                    raise ValueError
+                    return count
                 w[0], w[1] = ux, uy
             count += 1
     except (KeyError, TypeError, IndexError, ValueError):
-        pass  # the repeat under way departs: the steps read it again
+        return count  # a move that is not a well-formed object
+
+
+def _run_from(items, n, block, fans):
+    """The Run of the further repeats of a block that items[n:] log exactly
+    as predicted, with the fans set past them; None if the next repeat
+    departs from the prediction.
+
+    The block's steps touch no step's neighbors, so each delta, the zero
+    sum of each step's neighbors and every determinant the kernel checks
+    stay as they were in the repeats just applied: a repeat as predicted
+    is one apply_move accepts, with the same effect.
+    """
+    steps = run_steps(block, fans)
+    starts = [fans[j][i] for j, i, _ in block]
+    count = _repeats(items, n, steps, starts)
     if not count:
         return None
     for (j, i, _), (x, y), (*_, (dx, dy)) in zip(block, starts, steps):
@@ -285,7 +292,7 @@ def _log_from(data, path) -> MoveLog:
     append = entries.append
     failed = None
     keys = []  # the run keys of the pairs applied since the last run
-    up = None  # (fan, position) of the move before, a blow-up not yet paired
+    pending = None  # (fan, position) of the move before, a blow-up not yet paired
     i = 0
     while i < len(items):
         obj = items[i]
@@ -313,17 +320,17 @@ def _log_from(data, path) -> MoveLog:
             failed.__cause__ = exc
             continue
         if kind == BLOW_UP:
-            if up:
+            if pending:
                 keys.clear()
-            up = (fan, position)
+            pending = (fan, position)
             continue
         key = None
-        if up and up[0] == fan:
-            if position == up[1]:
+        if pending and pending[0] == fan:
+            if position == pending[1]:
                 key = (fan, position, -1)
-            elif position == up[1] + 2:
+            elif position == pending[1] + 2:
                 key = (fan, position - 1, 1)
-        up = None
+        pending = None
         if key is None:
             keys.clear()
             continue

@@ -142,6 +142,19 @@ def test_big_integers_round_trip_as_strings():
     obj = json.loads(text)
     assert obj["fans"][0]["vectors"][2] == [-1, str(n)]
     assert parse_document(text).payload == fam
+    # a log whose runs pass 2**53 - 1: the emitter quotes those moves, and
+    # the reader, which predicts only moves of plain ints, reads them stepwise
+    (a, b), (c, d) = ((-425723672601570444, 269777488998950491),
+                      (-880434537258077611, 557923916323371750))
+    fan = acx4.validate_multifan([(a * x + b * y, c * x + d * y)
+                                  for x, y in ((1, 0), (40, 1), (-41, -1))])
+    _, log = acx4.reduce_to_minimal(acx4.MultiFanFamily((fan,)))
+    assert any(type(e) is acx4.reduction.Run and max(map(abs, e.starts[0])) > 1 << 53
+               for e in log.entries)
+    doc = document_for(log)
+    text = emit_document(doc)
+    assert text == oracles.reference_emit_document(doc)
+    assert parse_document(text).payload == log
 
 
 def test_field_order_irrelevant():

@@ -145,7 +145,8 @@ def two_fan_run_families():
     fams = [acx4.MultiFanFamily((f1, f2)) for f1 in fans for f2 in fans]
     fams += [acx4.MultiFanFamily(euclid_family(n).fans * copies)
              for copies in (3, 4) for n in (5, 40)]
-    fams.append(acx4.MultiFanFamily(tuple(euclid_family(n).fans[0] for n in (40, 40, 7, 40))))
+    fams.append(acx4.MultiFanFamily(
+        tuple(euclid_family(n).fans[0] for n in (40, 40, 7, 40))))
     return fams
 
 
@@ -316,7 +317,8 @@ def test_reader_checks_each_move_of_a_run_like_the_reference():
     # as the stepwise reference replay fails
     rng = random.Random(0x53)
     fams = [euclid_family(n) for n in range(1, 61)]
-    fams += [acx4.MultiFanFamily((hirzebruch_fan(s * n),)) for n in range(1, 61) for s in (1, -1)]
+    fams += [acx4.MultiFanFamily((hirzebruch_fan(s * n),))
+             for n in range(1, 61) for s in (1, -1)]
     fams += two_fan_run_families()
     runs = 0
     for fam in fams:
@@ -336,14 +338,16 @@ def test_reader_checks_each_move_of_a_run_like_the_reference():
                           end - 1 - rng.randrange(2), end):
                     if t == len(moves):
                         continue
-                    bad = moves[:t] + [corrupt(moves[t], rng, len(fam.fans))] + moves[t + 1:]
+                    bad = list(moves)
+                    bad[t] = corrupt(moves[t], rng, len(fam.fans))
                     want = outcome(oracles.reference_replay, fam, bad)
                     with pytest.raises(ParseError) as exc:
                         parse_document(log_text(acx4.MoveLog(fam, tuple(bad), log.final)))
                     if bad[t].kind not in (BLOW_UP, BLOW_DOWN):
                         assert exc.value.path == f"moves[{t}].kind"
                     elif want[0] is MoveInapplicable:
-                        assert (exc.value.path, str(exc.value)) == ("moves", "moves: " + want[1])
+                        assert exc.value.path == "moves"
+                        assert str(exc.value) == "moves: " + want[1]
                     else:
                         assert want[0] == "ok" and want[1] != log.final
                         assert exc.value.path == "final"

@@ -39,9 +39,8 @@ their values after q - 1 repeats, logs those repeats as one Run entry,
 and runs the last repeat as ordinary iterations, which must make the
 predicted choices.  By Lame's bound (Knuth, TAOCP vol. 2, 4.5.3) a fan
 with coordinates of size N has O(log N) runs, so the cost is
-O(runs * log N) arithmetic plus one record, a plain (kind, fan_index,
-position, vector) tuple, per move outside a run; the log expands its runs
-into records, and builds a Move per move, only when a caller reads them.
+O(runs * log N) arithmetic plus one Move per move outside a run; the log
+expands its runs into Moves only when a caller reads them.
 A log is capped at MAX_MOVES moves: a reduction that needs more raises
 DomainError as its log passes the bound, or before it takes a run that
 would.  repeated_block and run_steps, which find a run and give its
@@ -100,19 +99,16 @@ MAX_MOVES = 10**6
 _MAX_BLOCK = 4
 
 
-@dataclass(frozen=True, slots=True)  # slots: a log holds thousands of moves
-class Move:
+class Move(namedtuple("Move", ("kind", "fan_index", "position", "vector"))):
     """One rewrite step; the vector is recorded so logs audit themselves.
 
     For blow-ups the position names the pair (v[i], v[i+1]) by its first
     index and the vector is the inserted sum; for blow-downs the position
-    is the deleted index and the vector the deleted value.
+    is the deleted index and the vector the deleted value.  A Move is a
+    tuple of its four fields, so it equals and hashes as that tuple.
     """
 
-    kind: str
-    fan_index: int
-    position: int
-    vector: Vec
+    __slots__ = ()  # a log holds thousands of moves
 
 
 class Run(namedtuple("Run", ("steps", "starts", "count"))):
@@ -120,14 +116,14 @@ class Run(namedtuple("Run", ("steps", "starts", "count"))):
 
     Step m, steps[m] = (fan_index, up, down, delta), takes the vector
     w = starts[m] + r*delta to w + delta in repeat r by the two moves
-    (blow_up, fan_index, up, w + delta) and (blow_down, fan_index, down, w);
-    a repeat makes the steps in order.
+    Move(blow_up, fan_index, up, w + delta) and
+    Move(blow_down, fan_index, down, w); a repeat makes the steps in order.
     """
 
     __slots__ = ()
 
-    def records(self) -> list[tuple]:
-        """The run's moves as records, in log order."""
+    def moves(self) -> list[Move]:
+        """The run's moves, in log order."""
         out = []
         append = out.append
         ends = list(self.starts)
@@ -135,76 +131,56 @@ class Run(namedtuple("Run", ("steps", "starts", "count"))):
             for m, (j, up, down, (dx, dy)) in enumerate(self.steps):
                 w = ends[m]
                 ends[m] = nxt = (w[0] + dx, w[1] + dy)
-                append((BLOW_UP, j, up, nxt))
-                append((BLOW_DOWN, j, down, w))
+                append(Move(BLOW_UP, j, up, nxt))
+                append(Move(BLOW_DOWN, j, down, w))
         return out
-
-
-# writes a field of a frozen dataclass past its own __setattr__
-_set = object.__setattr__
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class MoveLog:
     """A replayable witness: replay(initial, moves) == final.
 
-    A log holds its moves as entries: records, plain (kind, fan_index,
-    position, vector) tuples, and Runs, each standing for the records of
-    its repeats.  The engine and the log reader hand it entries through
-    from_records, so a run of any length is one entry and a log allocates
-    no Move until a caller reads .moves.  .records (the expanded records)
-    and .moves are built on first read, and every later read returns the
-    same tuple.  == and hash compare the expanded records, so a log is one
-    value however it was made and however its runs are cut.
+    A log holds its moves as entries: Moves, and Runs, each standing for
+    the moves of its repeats, so a run of any length is one entry.  .moves
+    expands the runs on first read, and every later read returns the same
+    tuple.  == and hash compare the expanded moves, so a log is one value
+    however it was made and however its runs are cut.
     """
 
     # positional patterns bind the moves, as before the entries
     __match_args__ = ("initial", "moves", "final")
 
     initial: MultiFanFamily
-    entries: tuple[tuple, ...] = field(init=False)
+    entries: tuple[Move | Run, ...] = field(init=False)
     final: MultiFanFamily
 
-    def __init__(self, initial: MultiFanFamily, moves: tuple[Move, ...],
+    def __init__(self, initial: MultiFanFamily, moves: tuple[Move | Run, ...],
                  final: MultiFanFamily):
-        _set(self, "initial", initial)
-        _set(self, "entries", tuple([(m.kind, m.fan_index, m.position, m.vector)
-                                     for m in moves]))
-        _set(self, "final", final)
-
-    @classmethod
-    def from_records(cls, initial, records, final) -> MoveLog:
-        """The log whose moves are Move(*r) for the records r; a Run among
-        them stands for the records it expands to."""
-        log = cls(initial, (), final)
-        _set(log, "entries", tuple(records))
-        return log
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "entries", tuple(moves))
+        object.__setattr__(self, "final", final)
 
     @cached_property
-    def records(self) -> tuple[tuple, ...]:
+    def moves(self) -> tuple[Move, ...]:
         if Run not in map(type, self.entries):
             return self.entries
         out = []
         for entry in self.entries:
             if type(entry) is Run:
-                out += entry.records()
+                out += entry.moves()
             else:
                 out.append(entry)
         return tuple(out)
 
-    @cached_property
-    def moves(self) -> tuple[Move, ...]:
-        return tuple([Move(*r) for r in self.records])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # equal entries expand to equal records; runs cut otherwise still may
+        # equal entries expand to equal moves; runs cut otherwise still may
         return (self.initial == other.initial and self.final == other.final
-                and (self.entries == other.entries or self.records == other.records))
+                and (self.entries == other.entries or self.moves == other.moves))
 
     def __hash__(self):
-        return hash((self.initial, self.records, self.final))
+        return hash((self.initial, self.moves, self.final))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(initial={self.initial!r}, "
@@ -321,9 +297,9 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
     """The move script removing vector i of fan j (the current longest),
     and its run key; vs is that fan's vector list and eps its orientation.
 
-    The script is a list of move records (kind, fan_index, position,
-    vector).  The key is (j, i, side) for an a = 0 iteration that only
-    replaces v[i] by v[i] + side*v[i-1], and None for any other.
+    The script is a list of Moves.  The key is (j, i, side) for an a = 0
+    iteration that only replaces v[i] by v[i] + side*v[i-1], and None for
+    any other.
     """
     k = len(vs)
     w1 = vs[(i - 1) % k]
@@ -335,19 +311,19 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
             f"self-intersection {a} at the longest vector {w}; neighbors "
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
-        return [(BLOW_DOWN, j, i, w)], None
+        return [Move(BLOW_DOWN, j, i, w)], None
     # the side to blow up: both for a = +1 (side 0), else the shorter sum
     side = 0 if a == 1 else lattice.reduction_choice(w1, w)
     # side +1 at i = 0 blows up the wrapping pair, which rotates the list
     key = (j, i, side) if side == -1 or side == 1 and i else None
     moves = []
     if side != -1:
-        moves.append((BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
+        moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
         # w moves one place right unless the pair wraps
         i = i + 1 if i else 0
     if side != 1:
-        moves.append((BLOW_UP, j, i, lattice.add(w, w2)))
-    return moves + [(BLOW_DOWN, j, i, w)], key
+        moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
+    return moves + [Move(BLOW_DOWN, j, i, w)], key
 
 
 def _too_many(count):
@@ -535,7 +511,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     for fan in state.fans:
         if not is_minimal_fan(fan):
             raise InternalInconsistency("reduction ended on a non-unit vector")
-    return state, MoveLog.from_records(fam, entries, state)
+    return state, MoveLog(fam, entries, state)
 
 
 @dataclass(frozen=True)

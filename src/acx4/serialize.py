@@ -41,16 +41,16 @@ json.dumps(obj, indent=2) + "\n" on the equivalent tree.  Parsing names the
 path of the first fault, in reading order, and spells paths only then.
 
 A log is read in one pass over its moves: each is decoded, applied and
-kept as a plain (kind, fan_index, position, vector) record, and the MoveLog
-builds Move objects only when its moves are read.  The reader recognises
-the engine's runs as it goes: once a block of a = 0 steps has been applied
+kept as a Move.  The reader recognises the engine's runs as it goes and
+cuts them as the engine does: once a block of a = 0 steps has been applied
 twice, each further repeat is checked field by field against the run's
-closed form instead of applied, and the repeats are kept as one Run, which
-the emitter writes out straight from its closed form.  The first move that
-does not apply stops the applying but not the decoding, so a malformed move
-anywhere is reported before an inapplicable one, as when the moves are all
-read and then replayed; a move that departs from a run's closed form is
-read again step by step, so it fails with the same path and message.
+closed form instead of applied, all but the last are kept as one Run,
+which the emitter writes out straight from its closed form, and the last
+is read step by step.  The first move that does not apply stops the
+applying but not the decoding, so a malformed move anywhere is reported
+before an inapplicable one, as when the moves are all read and then
+replayed; a move that departs from a run's closed form is read again step
+by step, so it fails with the same path and message.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .reduction import (
     BLOW_DOWN,
     BLOW_UP,
     ComplexModel,
+    Move,
     MoveLog,
     Run,
     apply_move,
@@ -217,10 +218,12 @@ def _kind_from(obj, path) -> str:
     return kind
 
 
-def _move_from(obj, path):
-    # a move's record, read field by field, which finds the first fault in order
-    return (_field(obj, "kind", path, _kind_from), _field(obj, "fan", path, _int_from),
-            _field(obj, "position", path, _int_from), _field(obj, "vector", path, _vec_from))
+def _move_from(obj, path) -> Move:
+    # read field by field, which finds the first fault in order
+    return Move(_field(obj, "kind", path, _kind_from),
+                _field(obj, "fan", path, _int_from),
+                _field(obj, "position", path, _int_from),
+                _field(obj, "vector", path, _vec_from))
 
 
 def _repeats(items, n, steps, starts) -> int:
@@ -254,9 +257,10 @@ def _repeats(items, n, steps, starts) -> int:
 
 
 def _run_from(items, n, block, fans):
-    """The Run of the further repeats of a block that items[n:] log exactly
-    as predicted, with the fans set past them; None if the next repeat
-    departs from the prediction.
+    """The Run of all but the last of the further repeats of a block that
+    items[n:] log exactly as predicted, with the fans set past them; None
+    if fewer than two repeats are as predicted.  The last repeat is left
+    to be read step by step, as the engine takes it.
 
     The block's steps touch no step's neighbors, so each delta, the zero
     sum of each step's neighbors and every determinant the kernel checks
@@ -265,8 +269,8 @@ def _run_from(items, n, block, fans):
     """
     steps = run_steps(block, fans)
     starts = [fans[j][i] for j, i, _ in block]
-    count = _repeats(items, n, steps, starts)
-    if not count:
+    count = _repeats(items, n, steps, starts) - 1
+    if count < 1:
         return None
     for (j, i, _), (x, y), (*_, (dx, dy)) in zip(block, starts, steps):
         fans[j][i] = (x + count * dx, y + count * dy)
@@ -280,9 +284,10 @@ def _log_from(data, path) -> MoveLog:
     moves were all read and then replayed: after the first move that does
     not apply, the rest are only read.  A blow-up and the blow-down after
     it form the engine's run key of an a = 0 step when their positions fit
-    one; once a block of keys repeats, _run_from takes its further repeats
-    in closed form, and the moves from the first one it does not take are
-    read step by step again.
+    one; a blow-up after a blow-up pairs with nothing, as the engine gives
+    its a = +1 iterations no key.  Once a block of keys repeats, _run_from
+    takes all but the last of its further repeats in closed form, and the
+    moves from the first one it does not take are read step by step again.
     """
     initial = _field(data, "initial", path, _embedded_family_from)
     final = _field(data, "final", path, _embedded_family_from)
@@ -306,10 +311,11 @@ def _log_from(data, path) -> MoveLog:
             kind = None
         if (kind is None or type(fan) is not int or type(position) is not int
                 or type(x) is not int or type(y) is not int):
-            kind, fan, position, vector = _move_from(obj, ((path, "moves"), i))
+            kind, fan, position, vector = move = _move_from(obj, ((path, "moves"), i))
         else:
             vector = (x, y)
-        append((kind, fan, position, vector))
+            move = Move(kind, fan, position, vector)
+        append(move)
         i += 1
         if failed is not None:
             continue
@@ -321,8 +327,8 @@ def _log_from(data, path) -> MoveLog:
             continue
         if kind == BLOW_UP:
             if pending:
-                keys.clear()
-            pending = (fan, position)
+                keys.clear()  # a block's repeats hold no other moves
+            pending = None if pending else (fan, position)
             continue
         key = None
         if pending and pending[0] == fan:
@@ -336,17 +342,16 @@ def _log_from(data, path) -> MoveLog:
             continue
         keys.append(key)
         block = repeated_block(keys, fans)
-        if block:
+        run = block and _run_from(items, i, block, fans)
+        if run:
             keys.clear()
-            run = _run_from(items, i, block, fans)
-            if run:
-                append(run)
-                i += 2 * len(block) * run.count
+            append(run)
+            i += 2 * len(block) * run.count
     if failed is not None:
         raise _error((path, "moves"), str(failed)) from failed
     if fans != [list(fan.vectors) for fan in final.fans]:
         raise _error((path, "final"), "does not match the replay of the moves")
-    return MoveLog.from_records(initial, entries, final)
+    return MoveLog(initial, entries, final)
 
 
 def _counts_from(obj, path):
@@ -464,12 +469,12 @@ def _log_text(log: MoveLog, p) -> str:
     quoted = head + _vec_template(field) + tail  # a coordinate past 2**53 - 1
     kinds = _KIND_TEXT
 
-    def texts(records):
+    def texts(batch):
         return [move % (kinds.get(kind) or _string(kind), fan, position, x, y)
                 if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
                 and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
                 quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
-                for kind, fan, position, (x, y) in records]
+                for kind, fan, position, (x, y) in batch]
 
     moves = []
     for cls, entries in groupby(log.entries, type):
@@ -483,7 +488,7 @@ def _log_text(log: MoveLog, p) -> str:
                      for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)]
             if any(abs(c) > _JSON_SAFE_INT for path in paths
                    for c in path[0] + path[-1]):  # a path's extremes are its ends
-                moves += texts(run.records())
+                moves += texts(run.moves())
                 continue
             columns = []
             for (j, up, down, _), path in zip(run.steps, paths):

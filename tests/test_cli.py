@@ -241,6 +241,24 @@ def test_replay_of_the_logs_own_family_replays_once(cp2_path, tmp_path, monkeypa
     assert "move 0" in capsys.readouterr().err
 
 
+def test_replay_onto_another_family_writes_what_minimize_writes(tmp_path, capsys):
+    # a family other than the log's initial one is replayed move by move,
+    # through the log's runs expanded into Moves
+    euclid = acx4.validate_multifan([(1, 0), (300, 1), (-301, -1)])
+    path = write_family(tmp_path, "euclid.json", acx4.MultiFanFamily((euclid,)))
+    log_path = str(tmp_path / "log.json")
+    assert cli_main(["minimize", path, "--log", log_path]) == 0
+    log = parse_document(open(log_path).read()).payload
+    assert any(type(entry) is acx4.reduction.Run for entry in log.entries)
+    both = write_family(tmp_path, "both.json", acx4.MultiFanFamily(
+        (euclid,) + acx4.make_minimal_family([1]).fans))
+    capsys.readouterr()
+    assert cli_main(["minimize", both]) == 0
+    minimal = capsys.readouterr().out
+    assert cli_main(["replay", "--log", log_path, both]) == 0
+    assert capsys.readouterr().out == minimal
+
+
 def test_convert_both_ways(cp2_path, tmp_path, capsys):
     assert cli_main(["convert", "--to", "graph", cp2_path]) == 0
     graph_text = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import inf
 
@@ -104,6 +106,22 @@ def test_moves_from_callers_need_integer_indices():
     with pytest.raises(MoveInapplicable,
                        match="position must be an integer, got 1.0"):
         acx4.replay(fam, (Move(BLOW_DOWN, 0, 1.0, (0, 1)),))
+
+
+def test_move_is_a_frozen_value_equal_to_its_fields():
+    fields = (BLOW_UP, 0, 2, (1, -3))
+    move = Move(*fields)
+    assert repr(move) == "Move(kind='blow_up', fan_index=0, position=2, vector=(1, -3))"
+    assert move == fields and hash(move) == hash(fields)
+    with pytest.raises(AttributeError):
+        move.position = 3
+    for again in (pickle.loads(pickle.dumps(move)), copy.copy(move), copy.deepcopy(move)):
+        assert type(again) is Move and again == move
+    # a log hashes its expanded moves, runs or not
+    for fam in (family_of(CP2), family_of(sigma(40))):
+        _, log = acx4.reduce_to_minimal(fam)
+        assert hash(log) == hash((log.initial, log.moves, log.final))
+    assert any(type(entry) is reduction.Run for entry in log.entries)
 
 
 def test_normalize_complex_golden():

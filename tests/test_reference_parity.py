@@ -169,9 +169,9 @@ def test_runs_take_few_checked_iterations(monkeypatch):
     _, log = acx4.reduce_to_minimal(euclid_family(10**4))
     assert len(log.moves) == 4 * 10**4 + 3
     assert len(calls) < 64
-    # the log keeps its runs, and so does the log reader
-    assert len(log.entries) < 64
-    assert len(parse_document(log_text(log)).payload.entries) < 64
+    # the log keeps its runs, and the log reader cuts them the same way
+    assert len(log.entries) == 16
+    assert parse_document(log_text(log)).payload.entries == log.entries
     calls.clear()
     log, _ = acx4.normalize_complex(hirzebruch_fan(10**5))
     assert len(log.moves) == 2 * 10**5
@@ -183,6 +183,21 @@ def test_runs_take_few_checked_iterations(monkeypatch):
             acx4.MultiFanFamily(euclid_family(10**4).fans * copies))
         assert len(log.moves) == copies * (4 * 10**4 + 3)
         assert len(calls) < 64
+
+
+def test_reader_cuts_runs_like_the_engine():
+    # the reader stores the runs the engine stored, so a log read back
+    # compares equal to the engine's without expanding either
+    fams = [euclid_family(n) for n in range(1, 301)]
+    fams += [acx4.MultiFanFamily((hirzebruch_fan(n),)) for n in range(-100, 101)]
+    fams += two_fan_run_families()
+    fams += [acx4.gen_random_family(s, 3, 60) for s in range(30)]
+    runs = 0
+    for fam in fams:
+        _, log = acx4.reduce_to_minimal(fam)
+        assert parse_document(log_text(log)).payload.entries == log.entries
+        runs += sum(type(entry) is Run for entry in log.entries)
+    assert runs > len(fams)
 
 
 def test_engine_refuses_a_run_past_its_end(monkeypatch):
@@ -353,6 +368,27 @@ def test_reader_checks_each_move_of_a_run_like_the_reference():
                         assert exc.value.path == "final"
             start += size
     assert runs >= len(fams)
+
+
+def test_reader_ends_a_block_at_a_pair_of_blow_ups():
+    # two blow-ups between a block's repeats pair with nothing, and they end
+    # the block: here they change the neighbor of fan 0's step, so the
+    # moves the block's closed form predicts after them do not apply
+    h = hirzebruch_fan(40)
+    fam = acx4.MultiFanFamily((h, h))
+    _, log = acx4.reduce_to_minimal(fam)
+    moves = list(log.moves[:6])  # fan 0's step, fan 1's, fan 0's
+    moves += [Move(BLOW_UP, 0, 2, (-1, 37)), Move(BLOW_UP, 0, 2, (-2, 75))]
+    moves += log.moves[6:8]  # fan 1's step
+    for r in range(5):
+        for j in (0, 1):
+            w = (-1, 38 - r)
+            moves += [Move(BLOW_UP, j, 2, (w[0], w[1] - 1)), Move(BLOW_DOWN, j, 2, w)]
+    want = outcome(oracles.reference_replay, fam, moves)
+    assert want[0] is MoveInapplicable and want[2] == 10
+    with pytest.raises(ParseError) as exc:
+        parse_document(log_text(acx4.MoveLog(fam, tuple(moves), log.final)))
+    assert str(exc.value) == "moves: " + want[1]
 
 
 def test_fan_rewrite_errors_match_reference():

@@ -77,7 +77,8 @@ def test_log_document_round_trip():
     # a log is one value however it was made, and before or after .moves
     euclid = [acx4.MultiFanFamily((acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
               for n in (1, 50, 137, 10**4, 40)]
-    # the engine and the reader may cut a log's runs differently
+    # a log built from Moves holds no runs, where the engine's and the
+    # reader's hold them
     fams = euclid[:4] + [acx4.MultiFanFamily(euclid[4].fans * 3)]
     fams += [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), -5),)),
              acx4.gen_random_family(4, 3, 40), acx4.make_minimal_family([1, -1])]
@@ -88,8 +89,8 @@ def test_log_document_round_trip():
         for a in every:
             for b in every:
                 assert a == b and hash(a) == hash(b)
-        if logs[0].records:
-            kind, fan, position, (x, y) = logs[0].records[-1]
+        if logs[0].moves:
+            kind, fan, position, (x, y) = logs[0].moves[-1]
             moves = logs[2].moves[:-1] + (acx4.Move(kind, fan, position, (x + 1, y)),)
             changed = acx4.MoveLog(fam, moves, logs[0].final)
             assert all(log != changed and changed != log for log in every)

@@ -43,8 +43,9 @@ O(runs * log N) arithmetic plus one Move per move outside a run; the log
 expands its runs into Moves only when a caller reads them.
 A log is capped at MAX_MOVES moves: a reduction that needs more raises
 DomainError as its log passes the bound, or before it takes a run that
-would.  repeated_block and run_steps, which find a run and give its
-steps, are shared with the log reader in serialize.
+would.  A RunCutter, fed every move the engine applies, finds the runs
+and takes them; the log reader in serialize feeds one the moves it reads,
+so both cut a log's runs alike.
 
 Every iteration strictly shrinks the multiset of squared norms, so the loop
 terminates.  The engine checks that step by the Dershowitz-Manna rule
@@ -293,14 +294,9 @@ class _NormBlocks:
         return sum(map(len, self.blocks[:b])) + self.blocks[b].index(n)
 
 
-def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
-    """The move script removing vector i of fan j (the current longest),
-    and its run key; vs is that fan's vector list and eps its orientation.
-
-    The script is a list of Moves.  The key is (j, i, side) for an a = 0
-    iteration that only replaces v[i] by v[i] + side*v[i-1], and None for
-    any other.
-    """
+def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
+    """The moves removing vector i of fan j (the current longest); vs is
+    that fan's vector list and eps its orientation."""
     k = len(vs)
     w1 = vs[(i - 1) % k]
     w = vs[i]
@@ -311,11 +307,9 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
             f"self-intersection {a} at the longest vector {w}; neighbors "
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
-        return [Move(BLOW_DOWN, j, i, w)], None
+        return [Move(BLOW_DOWN, j, i, w)]
     # the side to blow up: both for a = +1 (side 0), else the shorter sum
     side = 0 if a == 1 else lattice.reduction_choice(w1, w)
-    # side +1 at i = 0 blows up the wrapping pair, which rotates the list
-    key = (j, i, side) if side == -1 or side == 1 and i else None
     moves = []
     if side != -1:
         moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
@@ -323,34 +317,12 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int):
         i = i + 1 if i else 0
     if side != 1:
         moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
-    return moves + [Move(BLOW_DOWN, j, i, w)], key
+    return moves + [Move(BLOW_DOWN, j, i, w)]
 
 
 def _too_many(count):
     return DomainError(f"reduction needs at least {count} moves, "
                        f"more than MAX_MOVES = {MAX_MOVES}")
-
-
-def repeated_block(keys, fans):
-    """The last p run keys when they repeat the p keys before them and
-    none of their iterations touches another's neighbors; None when no
-    p <= len(keys) / 2 does.
-
-    keys is the list of run keys since the last run, the latest last; it
-    is cut here to two repeats of the longest block.  The engine and the
-    log reader share it.
-    """
-    del keys[: -2 * _MAX_BLOCK * len(fans)]
-    key = keys[-1]
-    for p in range(1, len(keys) // 2 + 1):
-        if keys[-1 - p] != key:
-            continue
-        block = keys[-p:]
-        if block == keys[-2 * p : -p] and all(
-                j != j2 or (i - i2) % len(fans[j]) not in (0, 1, len(fans[j]) - 1)
-                for n, (j, i, _) in enumerate(block) for j2, i2, _ in block[n + 1 :]):
-            return block
-    return None
 
 
 def run_steps(block, fans) -> list[tuple[int, int, int, Vec]]:
@@ -363,6 +335,82 @@ def run_steps(block, fans) -> list[tuple[int, int, int, Vec]]:
     return [(j, i if side < 0 else i - 1, i if side < 0 else i + 1,
              (side * fans[j][i - 1][0], side * fans[j][i - 1][1]))
             for j, i, side in block]
+
+
+class RunCutter:
+    """Finds the runs in the stream of moves applied to per-fan lists.
+
+    A blow-up and the blow-down right after it in the same fan, at the same
+    place or two places on, are an a = 0 iteration that only replaces v[i]
+    by v[i] + side*v[i-1]: its run key is (fan, i, side), side -1 or +1.
+    Any other move ends every block, since a block's repeats hold no other
+    moves: a blow-up after a blow-up (an a = +1 iteration), a blow-down
+    after none (a = -1), a pair in two fans, and the wrapping pair, which
+    rotates the list.  The engine and the log reader feed it every move
+    they apply, so they cut the same runs.
+    """
+
+    __slots__ = ("fans", "keys", "pending")
+
+    def __init__(self, fans: list[list[Vec]]):
+        self.fans = fans
+        self.keys = []  # the run keys since the last run, the latest last
+        self.pending = None  # (fan, position) of the blow-up just fed
+
+    def feed(self, kind, fan, position):
+        """Take the next move applied to the fans; return the block of run
+        keys it completes a second repeat of, or None."""
+        up, self.pending = self.pending, None
+        if kind == BLOW_UP and up is None:
+            self.pending = (fan, position)
+            return None
+        offset = position - up[1] if kind == BLOW_DOWN and up and up[0] == fan else 1
+        if offset not in (0, 2):
+            self.keys.clear()
+            return None
+        # offset 0: side -1 at the blow-down; offset 2: side +1 between
+        self.keys.append((fan, position - offset // 2, offset - 1))
+        return self._repeated_block()
+
+    def _repeated_block(self):
+        """The last p run keys when they repeat the p keys before them and
+        none of their iterations touches another's neighbors; None when no
+        p <= len(keys) / 2 does.  The keys are cut here to two repeats of
+        the longest block."""
+        fans = self.fans
+        keys = self.keys
+        del keys[: -2 * _MAX_BLOCK * len(fans)]
+        key = keys[-1]
+        for p in range(1, len(keys) // 2 + 1):
+            if keys[-1 - p] != key:
+                continue
+            block = keys[-p:]
+            if block == keys[-2 * p : -p] and all(
+                    j != j2 or (i - i2) % len(fans[j]) not in (0, 1, len(fans[j]) - 1)
+                    for n, (j, i, _) in enumerate(block)
+                    for j2, i2, _ in block[n + 1 :]):
+                return block
+        return None
+
+    def take_run(self, block, count) -> Run | None:
+        """Set a repeating block's vectors to their values after count
+        further repeats and return the Run of those repeats, which ends
+        every block; None, with the fans untouched, for count < 1.
+
+        The block's steps touch no step's neighbors, so each delta, the
+        zero sum of each step's neighbors and every determinant the kernel
+        checks stay as they were in the repeats just applied: each repeat
+        the Run stands for is one apply_move accepts, with the same effect.
+        """
+        if count < 1:
+            return None
+        fans = self.fans
+        steps = run_steps(block, fans)
+        starts = [fans[j][i] for j, i, _ in block]
+        for (j, i, _), (x, y), (*_, (dx, dy)) in zip(block, starts, steps):
+            fans[j][i] = (x + count * dx, y + count * dy)
+        self.keys.clear()
+        return Run(tuple(steps), tuple(starts), count)
 
 
 def _quad(u, d):
@@ -405,7 +453,7 @@ def _longest(norms, top=-1):
     return top, j
 
 
-def _jump(block, fans, norms, logged) -> Run | None:
+def _jump(block, cutter, norms, logged) -> Run | None:
     """Take all but the last repeat of a repeating block in closed form.
 
     Repeat r of the block's iteration m at place (j, i) replaces
@@ -414,14 +462,13 @@ def _jump(block, fans, norms, logged) -> Run | None:
     strictly and every one after it weakly, and w + delta is strictly
     shorter than w (reduction_choice then picks side).  The first r that
     fails one of these quadratic inequalities ends the run after q
-    repeats.  For q >= 2 the vectors move to their values after q - 1
-    repeats, and the result is the Run of those repeats, for the log;
-    otherwise it is None.  logged is the number of moves logged so far.
+    repeats, and the cutter takes the first q - 1 of them.  logged is the
+    number of moves logged so far.
     """
+    fans = cutter.fans
     places = [(j, i) for j, i, _ in block]
     start = [fans[j][i] for j, i in places]
-    steps = run_steps(block, fans)
-    deltas = [d for *_, d in steps]
+    deltas = [d for *_, d in run_steps(block, fans)]
     # the longest vector the run leaves alone, and its first place
     for j, i in places:
         norms[j].replace(i, 0)
@@ -443,11 +490,10 @@ def _jump(block, fans, norms, logged) -> Run | None:
     count = logged + 2 * len(block) * q
     if count > MAX_MOVES:
         raise _too_many(count)
-    r = max(q - 1, 0)
-    for (j, i), (x, y), (dx, dy) in zip(places, start, deltas):
-        fans[j][i] = w = (x + r * dx, y + r * dy)
-        norms[j].replace(i, lattice.norm_sq(w))
-    return Run(tuple(steps), tuple(start), r) if r else None
+    run = cutter.take_run(block, q - 1)
+    for j, i in places:
+        norms[j].replace(i, lattice.norm_sq(fans[j][i]))
+    return run
 
 
 _RUN_MISSED = "the iterations after a jump are not the last repeat of its run"
@@ -464,19 +510,21 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     fans = _lists(fam)
     norms = [_NormBlocks(vs) for vs in fans]
     signs = [orientation(fan) for fan in fam.fans]
+    cutter = RunCutter(fans)
     entries = []
     logged = 0  # the moves the entries stand for
-    keys = []  # the latest run keys, none of them None, since the last jump
     expect = []  # the keys of a run's last repeat, still to come
     while True:
         longest, j = _longest(norms, 1)
         if j is None:
             break
-        step, key = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
+        step = _iteration_moves(fans[j], signs[j], j, norms[j].first(longest))
         removed = []
         grew = False
         for kind, _, position, vector in step:
             apply_move(fans, kind, j, position, vector)
+            # only the step's last move, a blow-down, can complete a block
+            block = cutter.feed(kind, j, position)
             if kind == BLOW_UP:
                 n = lattice.norm_sq(vector)
                 grew = grew or n >= longest
@@ -488,22 +536,16 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
         if grew or removed != [longest]:
             raise InternalInconsistency(
                 "norm profile failed to decrease in an iteration")
-        if expect and key != expect.pop(0):
+        if expect and cutter.keys[-1:] != [expect.pop(0)]:
             raise InternalInconsistency(_RUN_MISSED)
         entries += step
         logged += len(step)
         if logged > MAX_MOVES:
             raise _too_many(logged)
-        if key is None:
-            keys.clear()  # no block holds this iteration
-            continue
-        keys.append(key)
-        block = repeated_block(keys, fans)
-        run = block and _jump(block, fans, norms, logged)
+        run = block and _jump(block, cutter, norms, logged)
         if run:
             entries.append(run)
             logged += 2 * len(block) * run.count
-            keys.clear()
             expect = block
     if expect:
         raise InternalInconsistency(_RUN_MISSED)

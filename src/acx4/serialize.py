@@ -41,13 +41,13 @@ json.dumps(obj, indent=2) + "\n" on the equivalent tree.  Parsing names the
 path of the first fault, in reading order, and spells paths only then.
 
 A log is read in one pass over its moves: each is decoded, applied and
-kept as a Move.  The reader recognises the engine's runs as it goes and
-cuts them as the engine does: once a block of a = 0 steps has been applied
-twice, each further repeat is checked field by field against the run's
-closed form instead of applied, all but the last are kept as one Run,
-which the emitter writes out straight from its closed form, and the last
-is read step by step.  The first move that does not apply stops the
-applying but not the decoding, so a malformed move anywhere is reported
+kept as a Move.  Each applied move goes to a reduction.RunCutter, as in
+the engine, so the reader cuts the engine's runs: once a block of a = 0
+steps has been applied twice, each further repeat is checked field by
+field against the run's closed form instead of applied, all but the last
+are kept as one Run, which the emitter writes out straight from its closed
+form, and the last is read step by step.  The first move that does not
+apply stops the applying but not the decoding, so a malformed move anywhere is reported
 before an inapplicable one, as when the moves are all read and then
 replayed; a move that departs from a run's closed form is read again step
 by step, so it fails with the same path and message.
@@ -71,8 +71,8 @@ from .reduction import (
     Move,
     MoveLog,
     Run,
+    RunCutter,
     apply_move,
-    repeated_block,
     run_steps,
 )
 from .reduction import replay  # not called here; bench/run.py traces serialize.replay
@@ -226,15 +226,18 @@ def _move_from(obj, path) -> Move:
                 _field(obj, "vector", path, _vec_from))
 
 
-def _repeats(items, n, steps, starts) -> int:
-    """How many repeats of a run's steps items[n:] log exactly as predicted.
+def _repeats(items, n, block, fans) -> int:
+    """How many further repeats of a block of run keys items[n:] log
+    exactly as predicted.
 
-    Step m of repeat r must read blow_up(j, up, w + delta) and then
-    blow_down(j, down, w), w = starts[m] + r*delta, with every index and
+    Step m, (j, up, down, delta) = run_steps(block, fans)[m], of repeat r
+    must read blow_up(j, up, w + delta) and then blow_down(j, down, w),
+    w = v[i] + r*delta for the key (j, i, side), with every index and
     coordinate an int.
     """
-    track = [(j, up, down, dx, dy, list(w))
-             for (j, up, down, (dx, dy)), w in zip(steps, starts)]
+    steps = run_steps(block, fans)
+    track = [(j, up, down, dx, dy, list(fans[j][i]))
+             for (j, up, down, (dx, dy)), (_, i, _) in zip(steps, block)]
     count = 0
     try:
         while True:
@@ -256,48 +259,19 @@ def _repeats(items, n, steps, starts) -> int:
         return count  # a move that is not a well-formed object
 
 
-def _run_from(items, n, block, fans):
-    """The Run of all but the last of the further repeats of a block that
-    items[n:] log exactly as predicted, with the fans set past them; None
-    if fewer than two repeats are as predicted.  The last repeat is left
-    to be read step by step, as the engine takes it.
-
-    The block's steps touch no step's neighbors, so each delta, the zero
-    sum of each step's neighbors and every determinant the kernel checks
-    stay as they were in the repeats just applied: a repeat as predicted
-    is one apply_move accepts, with the same effect.
-    """
-    steps = run_steps(block, fans)
-    starts = [fans[j][i] for j, i, _ in block]
-    count = _repeats(items, n, steps, starts) - 1
-    if count < 1:
-        return None
-    for (j, i, _), (x, y), (*_, (dx, dy)) in zip(block, starts, steps):
-        fans[j][i] = (x + count * dx, y + count * dy)
-    return Run(tuple(steps), tuple(starts), count)
-
-
 def _log_from(data, path) -> MoveLog:
-    """Decode, apply and keep each move in one pass over the moves.
-
-    Every move is decoded before an inapplicable one is reported, as if the
-    moves were all read and then replayed: after the first move that does
-    not apply, the rest are only read.  A blow-up and the blow-down after
-    it form the engine's run key of an a = 0 step when their positions fit
-    one; a blow-up after a blow-up pairs with nothing, as the engine gives
-    its a = +1 iterations no key.  Once a block of keys repeats, _run_from
-    takes all but the last of its further repeats in closed form, and the
-    moves from the first one it does not take are read step by step again.
-    """
+    """Decode, apply and keep each move in one pass over the moves, as the
+    module docstring says: after the first move that does not apply, the
+    rest are only read, and a run's repeats past the first one not as
+    predicted are read step by step again."""
     initial = _field(data, "initial", path, _embedded_family_from)
     final = _field(data, "final", path, _embedded_family_from)
     items = _field(data, "moves", path, _list_from)
     fans = [list(fan.vectors) for fan in initial.fans]
+    cutter = RunCutter(fans)
     entries = []
     append = entries.append
     failed = None
-    keys = []  # the run keys of the pairs applied since the last run
-    pending = None  # (fan, position) of the move before, a blow-up not yet paired
     i = 0
     while i < len(items):
         obj = items[i]
@@ -325,26 +299,9 @@ def _log_from(data, path) -> MoveLog:
             failed = MoveInapplicable(i - 1, str(exc))
             failed.__cause__ = exc
             continue
-        if kind == BLOW_UP:
-            if pending:
-                keys.clear()  # a block's repeats hold no other moves
-            pending = None if pending else (fan, position)
-            continue
-        key = None
-        if pending and pending[0] == fan:
-            if position == pending[1]:
-                key = (fan, position, -1)
-            elif position == pending[1] + 2:
-                key = (fan, position - 1, 1)
-        pending = None
-        if key is None:
-            keys.clear()
-            continue
-        keys.append(key)
-        block = repeated_block(keys, fans)
-        run = block and _run_from(items, i, block, fans)
+        block = cutter.feed(kind, fan, position)
+        run = block and cutter.take_run(block, _repeats(items, i, block, fans) - 1)
         if run:
-            keys.clear()
             append(run)
             i += 2 * len(block) * run.count
     if failed is not None:

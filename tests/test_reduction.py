@@ -219,7 +219,60 @@ def test_multi_fan_runs_past_max_moves_are_refused(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     with pytest.raises(DomainError, match=f"more than MAX_MOVES = {10**6}$"):
         acx4.reduce_to_minimal(acx4.MultiFanFamily((euclid(10**5),) * 3))
-    assert len(calls) < 64
+    assert len(calls) == 15
+
+
+# a pair keyed (0, 3, -1), then a stream, then the keys the cutter holds
+KEYED = [(BLOW_UP, 0, 3), (BLOW_DOWN, 0, 3)]
+
+
+@pytest.mark.parametrize("stream, keys", [
+    ([(BLOW_UP, 0, 5), (BLOW_DOWN, 0, 5)], [(0, 3, -1), (0, 5, -1)]),
+    ([(BLOW_UP, 0, 4), (BLOW_DOWN, 0, 6)], [(0, 3, -1), (0, 5, 1)]),
+    ([(BLOW_UP, 0, 7), (BLOW_DOWN, 0, 0)], []),
+    ([(BLOW_UP, 0, 4), (BLOW_UP, 0, 5), (BLOW_DOWN, 0, 5)], []),
+    ([(BLOW_UP, 0, 5), (BLOW_DOWN, 1, 5)], []),
+    ([(BLOW_DOWN, 0, 5)], []),
+], ids=["same-place", "two-places-on", "wrapping-pair", "up-up-down",
+        "two-fans", "lone-down"])
+def test_cutter_keys_only_a_blow_up_and_its_blow_down(stream, keys):
+    # two fans of eight vectors: only the lengths matter to the keys
+    cutter = reduction.RunCutter([[(1, 0)] * 8, [(0, 1)] * 8])
+    assert [cutter.feed(*move) for move in KEYED + stream] == [None] * (2 + len(stream))
+    assert cutter.keys == keys
+
+
+def test_cutter_blocks_hold_no_keys_from_before_an_up_up_pair():
+    cutter = reduction.RunCutter([[(1, 0)] * 8])
+    blocks = [cutter.feed(*move) for move in KEYED * 2]
+    assert blocks == [None, None, None, [(0, 3, -1)]]
+    cutter.keys.clear()
+    stream = KEYED + [(BLOW_UP, 0, 5), (BLOW_UP, 0, 6)] + KEYED
+    assert [cutter.feed(*move) for move in stream] == [None] * 6
+    assert cutter.keys == [(0, 3, -1)]
+
+
+def test_cutter_takes_the_repeats_it_is_given():
+    # euclid N = 10: feed the engine's moves until a block repeats, then
+    # take two repeats in closed form and compare with applying them
+    _, log = acx4.reduce_to_minimal(family_of(euclid(10)))
+    moves = log.moves
+    fans = [list(log.initial.fans[0].vectors)]
+    cutter = reduction.RunCutter(fans)
+    for n, move in enumerate(moves):
+        reduction.apply_move(fans, *move)
+        block = cutter.feed(move.kind, move.fan_index, move.position)
+        if block:
+            break
+    before = copy.deepcopy(fans)
+    assert cutter.take_run(block, 0) is None
+    assert fans == before and cutter.keys
+    run = cutter.take_run(block, 2)
+    assert run.count == 2 and not cutter.keys
+    assert run.moves() == list(moves[n + 1 : n + 1 + 4 * len(block)])
+    for move in run.moves():
+        reduction.apply_move(before, *move)
+    assert fans == before
 
 
 def test_first_failure_matches_a_scan():

@@ -157,7 +157,8 @@ def test_logs_match_reference_on_two_fan_runs():
 
 def test_runs_take_few_checked_iterations(monkeypatch):
     # the closed form stands for all but a run's first two and last
-    # repeats; the stepwise engine would take 2*10**4 and 10**5 iterations
+    # repeats: seven checked iterations per euclid fan, where the stepwise
+    # engine would take 2*10**4 and 10**5 iterations
     calls = []
     real = reduction._iteration_moves
 
@@ -168,21 +169,21 @@ def test_runs_take_few_checked_iterations(monkeypatch):
     monkeypatch.setattr(reduction, "_iteration_moves", counted)
     _, log = acx4.reduce_to_minimal(euclid_family(10**4))
     assert len(log.moves) == 4 * 10**4 + 3
-    assert len(calls) < 64
+    assert len(calls) == 7
     # the log keeps its runs, and the log reader cuts them the same way
     assert len(log.entries) == 16
     assert parse_document(log_text(log)).payload.entries == log.entries
     calls.clear()
     log, _ = acx4.normalize_complex(hirzebruch_fan(10**5))
     assert len(log.moves) == 2 * 10**5
-    assert len(calls) < 64
+    assert len(calls) == 3
     # each fan that ties on norm adds its two steps to the block
     for copies in (3, 4):
         calls.clear()
         _, log = acx4.reduce_to_minimal(
             acx4.MultiFanFamily(euclid_family(10**4).fans * copies))
         assert len(log.moves) == copies * (4 * 10**4 + 3)
-        assert len(calls) < 64
+        assert len(calls) == 7 * copies
 
 
 def test_reader_cuts_runs_like_the_engine():

@@ -43,21 +43,31 @@ path of the first fault, in reading order, and spells paths only then.
 A log is read in one pass over its moves: each is decoded, applied and
 kept as a Move.  Each applied move goes to a reduction.RunCutter, as in
 the engine, so the reader cuts the engine's runs: once a block of a = 0
-steps has been applied twice, each further repeat is checked field by
-field against the run's closed form instead of applied, all but the last
-are kept as one Run, which the emitter writes out straight from its closed
-form, and the last is read step by step.  The first move that does not
-apply stops the applying but not the decoding, so a malformed move anywhere is reported
-before an inapplicable one, as when the moves are all read and then
-replayed; a move that departs from a run's closed form is read again step
-by step, so it fails with the same path and message.
+steps has been applied twice, each further repeat is checked against the
+run's closed form instead of applied, all but the last are kept as one
+Run, which the emitter writes out straight from its closed form, and the
+last is read step by step.
+
+A text that is, byte for byte, a log as the emitter writes it (the
+canonical-form argument of RFC 8785) is read so with no JSON tree: its
+families are decoded in place, each move outside a run must match a
+pattern made from the emitter's move template, and each further repeat of
+a run is the emitter's text of it, compared in place.  Any other byte, or
+any fault, sends the whole text to json.loads, where a log is read field
+by field: the first move that does not apply stops the applying but not
+the decoding, so a malformed move anywhere is reported before an
+inapplicable one, as when the moves are all read and then replayed, and a
+move that departs from a run's closed form is read again step by step, so
+it fails with the same path and message.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from functools import cache
+from itertools import chain, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 
 from .classify import HirzebruchForm
@@ -75,7 +85,9 @@ from .reduction import (
     apply_move,
     run_steps,
 )
-from .reduction import replay  # not called here; bench/run.py traces serialize.replay
+# not called here: bench/workloads.py::span_targets traces serialize.replay,
+# and a traced run fails without this name
+from .reduction import replay
 from .torusgraph import TorusGraph, validate_graph
 
 FORMAT_FAMILY = "acx4-fans/1"
@@ -311,6 +323,109 @@ def _log_from(data, path) -> MoveLog:
     return MoveLog(initial, entries, final)
 
 
+@cache
+def _canonical_readers():
+    """The match of a move's text in a top-level log, minus its leading
+    ",", from the emitter's template; a raw JSON decoder; and each kind by
+    its text.  Built on first use: compiling takes about 0.5 ms."""
+    head, tail = _move_template("")
+    literals = [re.escape(text) for text in re.split("%[sd]", (head + tail)[1:])]
+    # then fan, position and vector as the emitter writes them: no leading
+    # zero, no -0, and at most 15 digits, so within 2**53 - 1 and unquoted
+    fields = ["(%s)" % "|".join(map(re.escape, _KIND_TEXT.values()))]
+    fields += ["(0|-?[1-9][0-9]{0,14})"] * 4
+    pattern = "".join(chain.from_iterable(zip(literals, fields))) + literals[-1]
+    return (re.compile(pattern).match, json.JSONDecoder().raw_decode,
+            {text: kind for kind, text in _KIND_TEXT.items()})
+
+
+def _text_repeats(text, pos, block, fans):
+    """(count, last): how many further repeats of a block of run keys the
+    text holds from pos on, each formatted by the emitter's move template
+    and compared in place, and where the last starts.  The count stops
+    before a coordinate would pass 2**53 - 1, which the emitter quotes."""
+    head, tail = _move_template("")
+    vec = tail % ("%d", "%d")
+    template = ""
+    columns = []
+    bounds = []
+    for (j, up, down, (dx, dy)), (_, i, _) in zip(run_steps(block, fans), block):
+        x, y = fans[j][i]
+        template += (head % (_KIND_TEXT[BLOW_UP], j, up) + vec
+                     + head % (_KIND_TEXT[BLOW_DOWN], j, down) + vec)
+        columns += [count(x + dx, dx), count(y + dy, dy), count(x, dx), count(y, dy)]
+        # repeats r < n write w + (r + 1)*delta, which stays within the
+        # bound while n*|delta| <= bound - |w| along delta's sign
+        bounds += [(_JSON_SAFE_INT - (c if d > 0 else -c)) // abs(d)
+                   for c, d in ((x, dx), (y, dy)) if d]
+    n = 0
+    last = end = pos
+    for args in islice(zip(*columns), min(bounds)):
+        expected = template % args
+        if not text.startswith(expected, end):
+            break
+        n += 1
+        last = end
+        end += len(expected)
+    return n, last
+
+
+def _canonical_log(text) -> MoveLog | None:
+    """The log of a text that is, byte for byte, a top-level log as the
+    emitter writes it, read as the module docstring says; None, never an
+    error, for any other text or any fault, which json.loads then reports.
+    Moves are applied and fed to a RunCutter as in _log_from."""
+    start, to_moves, after_moves, to_final, close = _log_frame("")
+    if not (isinstance(text, str) and text.startswith(start)):
+        return None
+    match, decode, kinds = _canonical_readers()
+    try:
+        obj, pos = decode(text, len(start))
+        initial = _embedded_family_from(obj, ("", "initial"))
+        if not text.startswith(to_moves, pos):
+            return None
+        pos += len(to_moves)
+        fans = [list(fan.vectors) for fan in initial.fans]
+        cutter = RunCutter(fans)
+        entries = []
+        append = entries.append
+        if text.startswith("]", pos):
+            pos += 1
+        else:
+            while True:
+                m = match(text, pos)
+                if m is None:
+                    return None
+                kind, fan, position, x, y = m.groups()
+                kind, fan, position = kinds[kind], int(fan), int(position)
+                vector = (int(x), int(y))
+                append(Move(kind, fan, position, vector))
+                apply_move(fans, kind, fan, position, vector)
+                pos = m.end()
+                block = cutter.feed(kind, fan, position)
+                if block:
+                    repeats, last = _text_repeats(text, pos, block, fans)
+                    run = cutter.take_run(block, repeats - 1)
+                    if run:
+                        append(run)
+                        pos = last
+                if not text.startswith(",", pos):
+                    break
+                pos += 1
+            if not text.startswith(after_moves, pos):
+                return None
+            pos += len(after_moves)
+        if not text.startswith(to_final, pos):
+            return None
+        obj, pos = decode(text, pos + len(to_final))
+        final = _embedded_family_from(obj, ("", "final"))
+    except (ValueError, RecursionError):  # ParseError and DomainError too
+        return None
+    if text[pos:] != close + "\n" or fans != [list(fan.vectors) for fan in final.fans]:
+        return None
+    return MoveLog(initial, entries, final)
+
+
 def _counts_from(obj, path):
     if len(_list_from(obj, path)) != 3:
         raise _error(path, "expected exactly 3 counts")
@@ -335,6 +450,9 @@ def _report_from(data, path) -> ChiYReport:
 
 def parse_document(text: str) -> Document:
     """Parse and validate one document of any known format."""
+    log = _canonical_log(text)
+    if log is not None:
+        return Document(FORMAT_LOG, log)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -353,32 +471,29 @@ def parse_document(text: str) -> Document:
 # --- encoding ----------------------------------------------------------------
 #
 # Each shape is text built from fixed %-templates, given the indent p of the
-# line its value starts on; the bytes are those of json.dumps(obj, indent=2).
+# line its value starts on and the text end that follows it; the bytes are
+# those of json.dumps(obj, indent=2).
 
 def _int(n: int) -> str:
     return "%d" % n if -_JSON_SAFE_INT <= n <= _JSON_SAFE_INT else '"%d"' % n
 
 
 def _array(items, p) -> str:
-    """A JSON array of formatted items, its closing bracket at indent p.
-
-    This and _object join their parts once: a log's moves run to megabytes,
-    which each + or % over the whole text would copy again.
-    """
+    """A JSON array of formatted items, its closing bracket at indent p."""
     if not items:
         return "[]"
     inner = "\n" + p + "  "
     return "".join(["[", inner, ("," + inner).join(items), "\n", p, "]"])
 
 
-def _object(p, *fields) -> str:
+def _object(p, *fields, end="") -> str:
     """A JSON object of one or more (key, formatted value) pairs, its brace
-    at indent p."""
+    at indent p, then end."""
     inner = "\n" + p + "  "
     parts = ["{"]
     for key, value in fields:
         parts += [inner, '"%s": ' % key, value, ","]
-    parts[-1] = "\n" + p + "}"  # in place of the last comma
+    parts[-1] = "\n" + p + "}" + end  # in place of the last comma
     return "".join(parts)
 
 
@@ -392,14 +507,14 @@ def _vecs(vectors, p) -> str:
     return _array([vec % (_int(x), _int(y)) for x, y in vectors], p)
 
 
-def _family_text(fam: MultiFanFamily, p) -> str:
+def _family_text(fam: MultiFanFamily, p, end="") -> str:
     fan = p + "    "
     return _object(p, ("format", _string(FORMAT_FAMILY)),
                    ("fans", _array([_object(fan, ("vectors", _vecs(f.vectors, fan + "  ")))
-                                    for f in fam.fans], p + "  ")))
+                                    for f in fam.fans], p + "  ")), end=end)
 
 
-def _graph_text(g: TorusGraph, p) -> str:
+def _graph_text(g: TorusGraph, p, end="") -> str:
     edge = p + "    "
     label = _vec_template(edge + "  ")
     return _object(p, ("format", _string(FORMAT_GRAPH)),
@@ -408,7 +523,27 @@ def _graph_text(g: TorusGraph, p) -> str:
                                              ("to", _string(e.dst)),
                                              ("label", label % (_int(e.label[0]),
                                                                 _int(e.label[1]))))
-                                     for e in g.edges], p + "  ")))
+                                     for e in g.edges], p + "  ")), end=end)
+
+
+@cache
+def _log_frame(p):
+    """The fixed text of a log object at indent p: before its initial
+    family, from there to its first move, after its last move, before its
+    final family, and after that."""
+    key = ",\n" + p + '  "%s": '
+    return ("{\n" + p + '  "format": ' + _string(FORMAT_LOG) + key % "initial",
+            key % "moves" + "[", "\n" + p + "  ]", key % "final", "\n" + p + "}")
+
+
+def _move_template(p):
+    """The text of a move in a log at indent p, led by the "," that parts it
+    from the move before, as (head, tail): head takes the kind's text, the
+    fan and the position, tail the vector's two integer texts."""
+    field = p + "      "  # a move's fields: the moves array sits two levels in
+    return (",\n" + p + "    {\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
+            + field + '"position": %d,\n' + field + '"vector": ',
+            _vec_template(field) + "\n" + p + "    }")
 
 
 def _progression(x, dx, n):
@@ -416,14 +551,13 @@ def _progression(x, dx, n):
     return range(x, x + n * dx, dx) if dx else repeat(x, n)
 
 
-def _log_text(log: MoveLog, p) -> str:
-    field = p + "      "  # a move's fields: the moves array sits two levels in
-    head = ("{\n" + field + '"kind": %s,\n' + field + '"fan": %d,\n'
-            + field + '"position": %d,\n' + field + '"vector": ')
-    vec = _vec_template(field) % ("%d", "%d")
-    tail = "\n" + p + "    }"
-    move = head + vec + tail
-    quoted = head + _vec_template(field) + tail  # a coordinate past 2**53 - 1
+def _log_text(log: MoveLog, p, end="") -> str:
+    """The log's text, from one list of parts joined once: its moves run to
+    megabytes, which each further join or + would copy again."""
+    head, tail = _move_template(p)
+    vec = tail % ("%d", "%d")
+    move = head + vec
+    quoted = head + tail  # a coordinate past 2**53 - 1
     kinds = _KIND_TEXT
 
     def texts(batch):
@@ -433,10 +567,12 @@ def _log_text(log: MoveLog, p) -> str:
                 quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
                 for kind, fan, position, (x, y) in batch]
 
-    moves = []
+    start, to_moves, after_moves, to_final, close = _log_frame(p)
+    parts = [start, _family_text(log.initial, p + "  "), to_moves]
+    first = len(parts)
     for cls, entries in groupby(log.entries, type):
         if cls is not Run:
-            moves += texts(entries)
+            parts += texts(entries)
             continue
         for run in entries:
             # each step's vectors w + r*delta, r = 0..count, in order
@@ -445,34 +581,38 @@ def _log_text(log: MoveLog, p) -> str:
                      for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)]
             if any(abs(c) > _JSON_SAFE_INT for path in paths
                    for c in path[0] + path[-1]):  # a path's extremes are its ends
-                moves += texts(run.moves())
+                parts += texts(run.moves())
                 continue
             columns = []
             for (j, up, down, _), path in zip(run.steps, paths):
                 # a formatted head holds no %, so these are templates of the vector
-                up_move = head % (kinds[BLOW_UP], j, up) + vec + tail
-                down_move = head % (kinds[BLOW_DOWN], j, down) + vec + tail
+                up_move = head % (kinds[BLOW_UP], j, up) + vec
+                down_move = head % (kinds[BLOW_DOWN], j, down) + vec
                 columns += [[up_move % w for w in path[1:]],
                             [down_move % w for w in path[:-1]]]
-            moves += chain.from_iterable(zip(*columns))
-    return _object(p, ("format", _string(FORMAT_LOG)),
-                   ("initial", _family_text(log.initial, p + "  ")),
-                   ("moves", _array(moves, p + "  ")),
-                   ("final", _family_text(log.final, p + "  ")))
+            parts += chain.from_iterable(zip(*columns))
+    if len(parts) > first:
+        parts[first] = parts[first][1:]  # the first move follows the "["
+        parts.append(after_moves)
+    else:
+        parts[-1] += "]"
+    parts += [to_final, _family_text(log.final, p + "  "), close + end]
+    return "".join(parts)
 
 
-def _report_text(report: ChiYReport, p) -> str:
+def _report_text(report: ChiYReport, p, end="") -> str:
     return _object(p, ("format", _string(FORMAT_REPORT)),
                    ("a", _array(["%d" % report.a0, "%d" % report.a1, "%d" % report.a2],
                                 p + "  ")),
-                   *[(key, "%d" % getattr(report, key)) for key in _REPORT_FIELDS])
+                   *[(key, "%d" % getattr(report, key)) for key in _REPORT_FIELDS],
+                   end=end)
 
 
 def emit_document(doc: Document) -> str:
     """Deterministic text form of a document; parse(emit(d)) == d."""
     _, _, encode = _codec(doc.format)
     with digit_limit():  # "%d" raises ValueError on an integer past it
-        return encode(doc.payload, "") + "\n"
+        return encode(doc.payload, "", "\n")
 
 
 # tag -> (payload type, decoder, encoder)
@@ -522,7 +662,7 @@ def emit_classification(rows) -> str:
                     ("normal_form", _normal_form_text(form, "      ")),
                     ("plumbing", _array([_plumbing_text(piece, "        ")
                                          for piece in plumbing], "      ")))
-            for fan, form, plumbing in rows], "  "))) + "\n"
+            for fan, form, plumbing in rows], "  ")), end="\n")
 
 
 def emit_normal_form(log: MoveLog, model: ComplexModel) -> str:
@@ -532,4 +672,4 @@ def emit_normal_form(log: MoveLog, model: ComplexModel) -> str:
         return _object("", ("model", _object("  ", ("name", _string(model.name)),
                                              ("a", "%d" % model.a),
                                              ("rotation", "%d" % model.rotation))),
-                       ("log", _log_text(log, "  "))) + "\n"
+                       ("log", _log_text(log, "  ")), end="\n")

@@ -6,17 +6,23 @@ all-rotations canonical form, and the graph rewrites that normalize and
 re-validate the whole graph.  The local-check kernel, the block-indexed
 engine, the two-pointer least-rotation canonical form and the local
 graph rewrites must agree with them byte for byte, on outputs and on
-errors.
+errors.  So must the canonical-text log reader and the json.loads reader
+it stands in front of.
 """
 
+import copy
 import dataclasses
+import functools
+import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 import acx4
-from acx4 import lattice, reduction
+from acx4 import lattice, reduction, serialize
 from acx4.errors import (
     DomainError,
     IndexOutOfRange,
@@ -409,6 +415,113 @@ def test_fan_rewrite_errors_match_reference():
             with pytest.raises(IndexOutOfRange) as exc:
                 acx4.blow_down_in_family(fam, j, 0)
             assert exc.value.index == j
+
+
+# --- the canonical-text log reader ------------------------------------------------
+
+def tree_parse(text):
+    """parse_document with the canonical-text reader switched off, so every
+    text goes through json.loads and the field-by-field log reader."""
+    with mock.patch.object(serialize, "_canonical_log", lambda text: None):
+        return parse_document(text)
+
+
+def json_loads_spy(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "loads", spy)
+    return calls
+
+
+def test_canonical_reader_reads_like_the_tree_reader(criterion_4_reductions, monkeypatch):
+    logs = [log for _, _, log in criterion_4_reductions]
+    logs += [acx4.reduce_to_minimal(euclid_family(n))[1] for n in range(1, 301)]
+    logs += [acx4.normalize_complex(hirzebruch_fan(n))[0] for n in range(-100, 101)]
+    logs += [acx4.reduce_to_minimal(fam)[1] for fam in two_fan_run_families()]
+    texts = [log_text(log) for log in logs]
+    calls = json_loads_spy(monkeypatch)
+    fast = [parse_document(text).payload for text in texts]
+    assert calls == []  # no canonical log builds a JSON tree
+    monkeypatch.undo()
+    for log, text, got in zip(logs, texts, fast):
+        want = tree_parse(text).payload
+        assert got.entries == want.entries
+        assert (got.initial, got.final) == (want.initial, want.final) == (log.initial, log.final)
+    assert sum(type(e) is Run for log in fast for e in log.entries) >= 300
+
+
+def outcome_of(parse, text):
+    try:
+        return ("ok", parse(text).payload)
+    except DomainError as exc:
+        return (type(exc), str(exc), getattr(exc, "path", None))
+
+
+@functools.cache
+def tamper_texts():
+    fams = [euclid_family(n) for n in range(1, 61)] + two_fan_run_families()
+    return [log_text(acx4.reduce_to_minimal(fam)[1]) for fam in fams]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_tampered_canonical_logs_read_like_the_tree_reader(data):
+    # one character changed, inserted or deleted anywhere, most often inside
+    # a run: the reader must give the tree reader's log or its error
+    text = data.draw(st.sampled_from(tamper_texts()))
+    at = data.draw(st.integers(0, len(text) - 1))
+    char = data.draw(st.sampled_from('0123456789-+.,:[]{}" \n\tbe') | st.characters())
+    edit = data.draw(st.sampled_from(["change", "insert", "delete"]))
+    if edit == "change":
+        text = text[:at] + char + text[at + 1:]
+    elif edit == "insert":
+        text = text[:at] + char + text[at:]
+    else:
+        text = text[:at] + text[at + 1:]
+    assert outcome_of(parse_document, text) == outcome_of(tree_parse, text)
+
+
+def test_each_edit_of_a_short_canonical_log_reads_like_the_tree_reader():
+    # at every place of a log with a run: a byte dropped, and a "0" put in
+    # or over, which makes leading zeros and breaks separators and keys
+    text = log_text(acx4.reduce_to_minimal(euclid_family(4))[1])
+    for at in range(len(text)):
+        for edited in (text[:at] + text[at + 1:], text[:at] + "0" + text[at:],
+                       text[:at] + "0" + text[at + 1:]):
+            assert outcome_of(parse_document, edited) == outcome_of(tree_parse, edited)
+
+
+def test_noncanonical_logs_read_through_json_loads(monkeypatch):
+    log = acx4.reduce_to_minimal(euclid_family(40))[1]
+    obj = json.loads(log_text(log))
+    middle = len(obj["moves"]) // 2  # inside the run
+    reordered = copy.deepcopy(obj)
+    reordered["moves"][middle] = dict(reversed(reordered["moves"][middle].items()))
+    extra = copy.deepcopy(obj)
+    extra["moves"][middle]["note"] = 1
+    # the indented copies begin as the emitter's text does, up to that move
+    cases = [(json.dumps(obj), log), (json.dumps(reordered, indent=2) + "\n", log),
+             (json.dumps(extra, indent=2) + "\n", log)]
+    # the log of test_big_integers_round_trip_as_strings, whose quoted
+    # coordinates are canonical but read only through the tree
+    (a, b), (c, d) = ((-425723672601570444, 269777488998950491),
+                      (-880434537258077611, 557923916323371750))
+    fan = acx4.validate_multifan([(a * x + b * y, c * x + d * y)
+                                  for x, y in ((1, 0), (40, 1), (-41, -1))])
+    big = acx4.reduce_to_minimal(acx4.MultiFanFamily((fan,)))[1]
+    cases.append((log_text(big), big))
+    for text, want in cases:
+        calls = json_loads_spy(monkeypatch)
+        got = parse_document(text).payload
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert got == want
+        assert got.entries == tree_parse(text).payload.entries
 
 
 # --- graph rewrites --------------------------------------------------------------

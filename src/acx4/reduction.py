@@ -474,16 +474,17 @@ def _jump(block, cutter, norms, logged) -> Run | None:
         norms[j].replace(i, 0)
     top, zj = _longest(norms)
     still = (zj, norms[zj].first(top))
+    quads = [_quad(w, d) for w, d in zip(start, deltas)]
+    # an earlier iteration of the block has taken its repeat r
+    taken = [_quad(lattice.add(w, d), d) for w, d in zip(start, deltas)]
     bounds = []
-    for m, (place, w, d) in enumerate(zip(places, start, deltas)):
-        qa, qb, qc = _quad(w, d)
+    for m, (place, (qa, qb, qc)) in enumerate(zip(places, quads)):
         floor = max(2, top + (still < place))
         # norm(r) - norm(r + 1) > 0, and norm(r) >= floor
         bounds += [(0, -2 * qa, -qa - qb), (qa, qb, qc - floor + 1)]
-        for m2, (place2, w2, d2) in enumerate(zip(places, start, deltas)):
+        for m2, place2 in enumerate(places):
             if m2 != m:
-                # an earlier iteration of the block has taken its repeat r
-                ra, rb, rc = _quad(lattice.add(w2, d2) if m2 < m else w2, d2)
+                ra, rb, rc = taken[m2] if m2 < m else quads[m2]
                 bounds.append((qa - ra, qb - rb, qc - rc + 1 - (place2 < place)))
     # finite: norm(r) is a convex quadratic in r, so it stops falling
     q = min(_first_failure(*bound) for bound in bounds)

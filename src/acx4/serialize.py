@@ -45,14 +45,16 @@ kept as a Move.  Each applied move goes to a reduction.RunCutter, as in
 the engine, so the reader cuts the engine's runs: once a block of a = 0
 steps has been applied twice, each further repeat is checked against the
 run's closed form instead of applied, all but the last are kept as one
-Run, which the emitter writes out straight from its closed form, and the
-last is read step by step.
+Run, and the last is read step by step.  The emitter writes a Run's
+repeats as column text: one repeat's fixed text around the coordinates
+that move, each a range from the closed form, all joined in C.
 
 A text that is, byte for byte, a log as the emitter writes it (the
 canonical-form argument of RFC 8785) is read so with no JSON tree: its
 families are decoded in place, each move outside a run must match a
-pattern made from the emitter's move template, and each further repeat of
-a run is the emitter's text of it, compared in place.  Any other byte, or
+pattern made from the emitter's move template, and the further repeats of
+a run are the emitter's column text of them, compared in place in chunks
+of 1, 2, 4, ... up to 64 repeats.  Any other byte, or
 any fault, sends the whole text to json.loads, where a log is read field
 by field: the first move that does not apply stops the applying but not
 the decoding, so a malformed move anywhere is reported before an
@@ -67,7 +69,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 
 from .classify import HirzebruchForm
@@ -341,33 +343,31 @@ def _canonical_readers():
 
 def _text_repeats(text, pos, block, fans):
     """(count, last): how many further repeats of a block of run keys the
-    text holds from pos on, each formatted by the emitter's move template
-    and compared in place, and where the last starts.  The count stops
-    before a coordinate would pass 2**53 - 1, which the emitter quotes."""
-    head, tail = _move_template("")
-    vec = tail % ("%d", "%d")
-    template = ""
-    columns = []
-    bounds = []
-    for (j, up, down, (dx, dy)), (_, i, _) in zip(run_steps(block, fans), block):
-        x, y = fans[j][i]
-        template += (head % (_KIND_TEXT[BLOW_UP], j, up) + vec
-                     + head % (_KIND_TEXT[BLOW_DOWN], j, down) + vec)
-        columns += [count(x + dx, dx), count(y + dy, dy), count(x, dx), count(y, dy)]
-        # repeats r < n write w + (r + 1)*delta, which stays within the
-        # bound while n*|delta| <= bound - |w| along delta's sign
-        bounds += [(_JSON_SAFE_INT - (c if d > 0 else -c)) // abs(d)
-                   for c, d in ((x, dx), (y, dy)) if d]
-    n = 0
-    last = end = pos
-    for args in islice(zip(*columns), min(bounds)):
-        expected = template % args
-        if not text.startswith(expected, end):
+    text holds from pos on, each the emitter's column text of it compared
+    in place, and where the last starts.  Chunks of 1, 2, 4, ... up to 64
+    repeats are compared whole, and the first that differs one repeat at a
+    time.  The count stops before a coordinate would pass 2**53 - 1, which
+    the emitter quotes."""
+    template = _run_template("", run_steps(block, fans), [fans[j][i] for j, i, _ in block])
+    # column (v, d) writes v + r*d in repeat r, within the bound while
+    # r*|d| <= bound - |v| along d's sign
+    limit = min((_JSON_SAFE_INT - (v if d > 0 else -v)) // abs(d) + 1
+                for v, d in template[1])
+    n, end, size = 0, pos, 1
+    while n < limit:
+        size = min(size, limit - n)
+        chunk = _run_text(template, n, size)
+        if not text.startswith(chunk, end):
+            for one in map("".join, _run_repeats(template, n, size)):
+                if not text.startswith(one, end):
+                    break
+                n += 1
+                end += len(one)
             break
-        n += 1
-        last = end
-        end += len(expected)
-    return n, last
+        n += size
+        end += len(chunk)
+        size = min(2 * size, 64)
+    return n, end - len(_run_text(template, n - 1, 1)) if n else pos
 
 
 def _canonical_log(text) -> MoveLog | None:
@@ -546,9 +546,43 @@ def _move_template(p):
             _vec_template(field) + "\n" + p + "    }")
 
 
-def _progression(x, dx, n):
-    """x, x + dx, ..., x + (n - 1)*dx."""
-    return range(x, x + n * dx, dx) if dx else repeat(x, n)
+def _run_template(p, steps, starts):
+    """A run's repeat in a log at indent p, as (literal texts, columns):
+    the repeat's text is the literals with one moving coordinate between
+    each two, written from its column (value in repeat 0, step).  Step
+    (j, up, down, delta) from w writes w + (r + 1)*delta at its blow-up
+    and w + r*delta at its blow-down; a coordinate whose delta is 0 is
+    in the literal text."""
+    head, tail = _move_template(p)
+    pre, mid, post = tail.split("%s")
+    literals, columns = [""], []
+    for (j, up, down, (dx, dy)), (x, y) in zip(steps, starts):
+        for kind, position, wx, wy in ((BLOW_UP, up, x + dx, y + dy), (BLOW_DOWN, down, x, y)):
+            literals[-1] += head % (_KIND_TEXT[kind], j, position)
+            for sep, v, d in ((pre, wx, dx), (mid, wy, dy)):
+                literals[-1] += sep
+                if d:
+                    columns.append((v, d))
+                    literals.append("")
+                else:
+                    literals[-1] += "%d" % v
+            literals[-1] += post
+    return literals, columns
+
+
+def _run_repeats(template, r, n):
+    """Repeats r .. r + n - 1 of a run template, one tuple of texts each."""
+    literals, columns = template
+    texts = [repeat(literals[0], n)]
+    for (v, d), literal in zip(columns, literals[1:]):
+        # range gives plain ints, which str prints as %d does
+        texts += [map(str, range(v + r * d, v + (r + n) * d, d)), repeat(literal, n)]
+    return zip(*texts)
+
+
+def _run_text(template, r, n):
+    """The text of repeats r .. r + n - 1 of a run template, joined in C."""
+    return "".join(chain.from_iterable(_run_repeats(template, r, n)))
 
 
 def _log_text(log: MoveLog, p, end="") -> str:
@@ -575,22 +609,12 @@ def _log_text(log: MoveLog, p, end="") -> str:
             parts += texts(entries)
             continue
         for run in entries:
-            # each step's vectors w + r*delta, r = 0..count, in order
-            paths = [list(zip(_progression(x, dx, run.count + 1),
-                              _progression(y, dy, run.count + 1)))
-                     for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)]
-            if any(abs(c) > _JSON_SAFE_INT for path in paths
-                   for c in path[0] + path[-1]):  # a path's extremes are its ends
+            # a coordinate's extremes are at its ends, w and w + count*delta
+            if all(abs(c) <= _JSON_SAFE_INT for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)
+                   for c in (x, y, x + run.count * dx, y + run.count * dy)):
+                parts.append(_run_text(_run_template(p, run.steps, run.starts), 0, run.count))
+            else:
                 parts += texts(run.moves())
-                continue
-            columns = []
-            for (j, up, down, _), path in zip(run.steps, paths):
-                # a formatted head holds no %, so these are templates of the vector
-                up_move = head % (kinds[BLOW_UP], j, up) + vec
-                down_move = head % (kinds[BLOW_DOWN], j, down) + vec
-                columns += [[up_move % w for w in path[1:]],
-                            [down_move % w for w in path[:-1]]]
-            parts += chain.from_iterable(zip(*columns))
     if len(parts) > first:
         parts[first] = parts[first][1:]  # the first move follows the "["
         parts.append(after_moves)

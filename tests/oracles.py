@@ -8,8 +8,9 @@ evidence the tests rely on.  The last sections are different: they keep
 the slower rewrite, reduction and canonical-form code that the library's
 fast paths replaced, built on the full validator, the normal-form
 readers that the library's direct readings replaced, the cycle walk as
-its docstring states it, the exact-ratio SVG scaling, and the
-json.dumps(indent=2) emitter, as the reference those paths must match
+its docstring states it, the exact-ratio SVG scaling, the
+json.dumps(indent=2) emitter, and the log emitter that wrote a run's
+moves one % format each, as the reference those paths must match
 exactly.
 """
 
@@ -19,6 +20,7 @@ import random
 from fractions import Fraction
 
 import acx4
+from acx4 import serialize
 from acx4.errors import (
     DomainError,
     IndexOutOfRange,
@@ -748,3 +750,44 @@ def reference_emit_normal_form(log, model):
     return _reference_dumps({
         "model": {"name": model.name, "a": model.a, "rotation": model.rotation},
         "log": _reference_log_obj(log)})
+
+
+def reference_log_text(log, p=""):
+    """The text the emitter wrote for a log at indent p, then a newline,
+    before a run's repeats became column text: every move of a run is one
+    % format of the emitter's move template, from the run's closed form,
+    and a run with a coordinate past 2**53 - 1 is written move by move."""
+    safe = serialize._JSON_SAFE_INT
+    kinds = serialize._KIND_TEXT
+    head, tail = serialize._move_template(p)
+    vec = tail % ("%d", "%d")
+
+    def texts(moves):
+        return [(head + vec) % (kinds[kind], fan, position, x, y)
+                if abs(x) <= safe and abs(y) <= safe else
+                (head + tail) % (kinds[kind], fan, position,
+                                 serialize._int(x), serialize._int(y))
+                for kind, fan, position, (x, y) in moves]
+
+    start, to_moves, after_moves, to_final, close = serialize._log_frame(p)
+    parts = []
+    for entry in log.entries:
+        if type(entry) is not acx4.reduction.Run:
+            parts += texts([entry])
+            continue
+        # each step's vectors w + r*delta, r = 0..count, in order
+        paths = [[(x + r * dx, y + r * dy) for r in range(entry.count + 1)]
+                 for (*_, (dx, dy)), (x, y) in zip(entry.steps, entry.starts)]
+        if any(abs(c) > safe for path in paths for c in path[0] + path[-1]):
+            parts += texts(entry.moves())
+            continue
+        columns = []
+        for (j, up, down, _), path in zip(entry.steps, paths):
+            up_move = head % (kinds[acx4.BLOW_UP], j, up) + vec
+            down_move = head % (kinds[acx4.BLOW_DOWN], j, down) + vec
+            columns += [[up_move % w for w in path[1:]],
+                        [down_move % w for w in path[:-1]]]
+        parts += [text for repeat in zip(*columns) for text in repeat]
+    moves = "".join(parts)[1:] + after_moves if parts else "]"
+    return "".join([start, serialize._family_text(log.initial, p + "  "), to_moves, moves,
+                    to_final, serialize._family_text(log.final, p + "  "), close, "\n"])

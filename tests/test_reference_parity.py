@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -129,15 +130,24 @@ def test_normalize_complex_matches_reference_on_hirzebruch_fans():
         assert (log, model) == oracles.reference_normalize_complex(fan)
 
 
-def test_logs_match_reference_on_sl2_images():
-    # a change of basis moves where the runs end and how norms tie
+def sl2_image_families():
+    """50 one-fan families: euclid and Hirzebruch fans under 25 random
+    SL2(Z) matrices."""
     rng = random.Random(0x51)
+    fams = []
     for _ in range(25):
         matrix = random_sl2(rng, 10**3)
         assert max(map(abs, matrix[0] + matrix[1])) <= 10**3
         for fan in (euclid_family(rng.randint(1, 60)).fans[0],
                     hirzebruch_fan(rng.choice([-1, 1]) * rng.randint(1, 60))):
-            assert_same_reduction(acx4.MultiFanFamily((image(matrix, fan),)))
+            fams.append(acx4.MultiFanFamily((image(matrix, fan),)))
+    return fams
+
+
+def test_logs_match_reference_on_sl2_images():
+    # a change of basis moves where the runs end and how norms tie
+    for fam in sl2_image_families():
+        assert_same_reduction(fam)
 
 
 def two_fan_run_families():
@@ -159,6 +169,27 @@ def two_fan_run_families():
 def test_logs_match_reference_on_two_fan_runs():
     for fam in two_fan_run_families():
         assert_same_reduction(fam)
+
+
+def test_logs_match_reference_on_many_fan_families():
+    # f fans that tie on norm make a block of 2f iterations, whose bounds
+    # _jump builds pair by pair; mixed fans give blocks of equal and of
+    # distinct (start, delta) classes
+    rng = random.Random(0x5A)
+    pool = [euclid_family(n).fans[0] for n in (3, 7, 40)]
+    pool += [hirzebruch_fan(n) for n in (5, -12)]
+    pool += [image(random_sl2(rng, 30), fan) for fan in (pool[2], pool[4])]
+    pool += [acx4.gen_random_family(s, 1, 6).fans[0] for s in range(3)]
+    longest = 0
+    for f in (3, 5, 8, 13, 21, 34, 50):
+        for few in (pool, pool[2:4]):
+            fam = acx4.MultiFanFamily(tuple(rng.choice(few) for _ in range(f)))
+            got = acx4.reduce_to_minimal(fam)
+            assert got == oracles.reference_reduce_to_minimal(fam)
+            assert_reference_agrees(fam, *got)
+            longest = max([longest] + [len(e.steps) for e in got[1].entries
+                                       if type(e) is Run])
+    assert longest >= 40
 
 
 def test_runs_take_few_checked_iterations(monkeypatch):
@@ -252,6 +283,40 @@ def test_engine_checks_each_step_by_the_multiset_rule(monkeypatch):
         with pytest.raises(InternalInconsistency, match="norm profile"):
             acx4.reduce_to_minimal(fam)
         assert calls[-1] == last
+
+
+SAFE = (1 << 53) - 1
+
+
+def test_run_text_matches_per_move_emission():
+    # a run's repeats are column text; they must be the bytes of one %
+    # format per move, in every sign and with a constant coordinate
+    logs = [acx4.reduce_to_minimal(euclid_family(n))[1] for n in range(1, 301)]
+    logs += [acx4.reduce_to_minimal(fam)[1]
+             for fam in two_fan_run_families() + sl2_image_families()]
+    logs += [acx4.normalize_complex(hirzebruch_fan(s * n))[0]
+             for n in range(1, 201) for s in (1, -1)]
+    # a run whose far coordinates sit at the bound, and a step past it
+    fam = euclid_family(1)
+    for s in (1, -1):
+        for past in (0, 1):
+            start = (s * (SAFE - 15 + past), -s * (SAFE - 10))
+            run = Run(((0, 1, 3, (3 * s, -2 * s)),), (start,), 5)
+            logs.append(acx4.MoveLog(fam, (Move(BLOW_UP, 0, 0, (1, 2)), run), fam))
+    deltas = set()
+    for log in logs:
+        text = log_text(log)
+        assert text == oracles.reference_log_text(log)
+        deltas |= {tuple((d > 0) - (d < 0) for d in step[3])
+                   for e in log.entries if type(e) is Run for step in e.steps}
+    assert deltas == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+    for log, past in zip(logs[-4:], (0, 1, 0, 1)):
+        text = log_text(log)
+        assert bool(re.search('"-?%d"' % (SAFE + 1), text)) == past
+        assert text == oracles.reference_emit_document(document_for(log))
+    for log in logs[-404:-4:40]:  # as a normal form embeds them, at indent "  "
+        assert (serialize._log_text(log, "  ", "\n")
+                == oracles.reference_log_text(log, "  "))
 
 
 # --- canonical form -----------------------------------------------------------
@@ -494,6 +559,51 @@ def test_each_edit_of_a_short_canonical_log_reads_like_the_tree_reader():
         for edited in (text[:at] + text[at + 1:], text[:at] + "0" + text[at:],
                        text[:at] + "0" + text[at + 1:]):
             assert outcome_of(parse_document, edited) == outcome_of(tree_parse, edited)
+
+
+def test_edits_of_a_long_run_read_like_the_tree_reader():
+    # euclid N = 400 next to a Hirzebruch fan holds a Run of 395 repeats,
+    # which the reader compares in chunks of 1, 2, 4, ..., 64 repeats and
+    # then 64 at a time: edit the first and last repeat of each chunk, the
+    # run's last two repeats and the moves after it, by a digit of a moving
+    # coordinate, a digit of a constant one, or by dropping the repeat
+    fam = acx4.MultiFanFamily(euclid_family(400).fans + (hirzebruch_fan(3),))
+    log = acx4.reduce_to_minimal(fam)[1]
+    text = log_text(log)
+    spans = [m.span() for m in re.finditer(r",?\n    \{.*?\n    \}", text, re.S)]
+    assert len(spans) == len(log.moves)
+    first = 0
+    for run in log.entries:
+        if type(run) is Run and run.count > 300:
+            break
+        first += 2 * len(run.steps) * run.count if type(run) is Run else 1
+    size = 2 * len(run.steps)
+    assert [d for *_, d in run.steps] == [(-1, 0), (1, 0)]  # x moves, y does not
+    starts, chunk = [0], 1
+    while starts[-1] <= run.count:
+        starts.append(starts[-1] + chunk)
+        chunk = min(2 * chunk, 64)
+    assert starts[-4:-1] == [255, 319, 383]
+    repeats = {r for a, b in zip(starts, starts[1:]) for r in (a, min(b - 1, run.count))}
+    repeats |= {run.count - 1, run.count, run.count + 1}
+    vector = re.compile(r'"vector": \[\n +(-?[0-9]+),\n +(-?[0-9]+)')
+
+    def bump(digit):
+        return str((int(digit) + 1) % 10)
+
+    edits = 0
+    for r in sorted(repeats):
+        a = first + r * size
+        b = a + size
+        m = vector.search(text, spans[a + r % size][0])
+        edited = [text[: m.end(c) - 1] + bump(m[c][-1]) + text[m.end(c):] for c in (1, 2)]
+        edited.append(text[: spans[a][0]] + text[spans[b][0]:])
+        for t in edited:
+            got = outcome_of(parse_document, t)
+            assert got[0] is ParseError
+            assert got == outcome_of(tree_parse, t)
+            edits += 1
+    assert edits == 3 * len(repeats)
 
 
 def test_noncanonical_logs_read_through_json_loads(monkeypatch):

@@ -54,13 +54,13 @@ canonical-form argument of RFC 8785) is read so with no JSON tree: its
 families are decoded in place, each move outside a run must match a
 pattern made from the emitter's move template, and the further repeats of
 a run are the emitter's column text of them, compared in place in chunks
-of 1, 2, 4, ... up to 64 repeats.  Any other byte, or
-any fault, sends the whole text to json.loads, where a log is read field
-by field: the first move that does not apply stops the applying but not
-the decoding, so a malformed move anywhere is reported before an
-inapplicable one, as when the moves are all read and then replayed, and a
-move that departs from a run's closed form is read again step by step, so
-it fails with the same path and message.
+of 1, 2, 4, ... up to 64 repeats.  Any other byte, or any fault, sends
+the whole text to json.loads, where a log is read field by field: the
+first move that does not apply stops the applying but not the decoding,
+so a malformed move anywhere is reported before an inapplicable one, as
+when the moves are all read and then replayed, and a move that departs
+from a run's closed form is read again step by step, so it fails with the
+same path and message.
 """
 
 from __future__ import annotations

@@ -23,6 +23,17 @@ Beside each list it keeps the squared norms in blocks of about sqrt(k)
 with cached block maxima, so finding the first longest vector and updating
 after a move cost O(sqrt(k)) rather than a pass over the family.
 
+A leading stretch of blow-downs is taken in one sort.  An a = -1 iteration
+only deletes w: no other norm changes and each fan's survivors keep their
+order.  So while every iteration is one, the engine removes the vectors of
+norm > 1 in the order of (-norm, fan, original index), each at its index
+less the removals before it in its fan, and one sort finds them all.  The
+stretch ends at the first vector that is not a = -1 and the sum of its
+neighbors.  Each of its moves passes the kernel and the MAX_MOVES check
+and removes the maximum alone, as the multiset rule below asks; a lone
+blow-down leaves the run cutter empty, so the loop then goes on exactly as
+after taking the stretch one iteration at a time.
+
 Runs are solved in closed form.  An a = 0 iteration only replaces w by
 w + delta, delta = side*w1, and leaves its neighbors alone (unless it
 blows up the wrapping pair at position 0, which rotates the list).  When
@@ -61,7 +72,7 @@ of moves apart from the kernel's list edits.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -500,6 +511,32 @@ def _jump(block, cutter, norms, logged) -> Run | None:
 _RUN_MISSED = "the iterations after a jump are not the last repeat of its run"
 
 
+def _blow_down_stretch(fam, fans, order, signs) -> list[Move]:
+    """Blow down the vectors in order, their sorted (-norm, fan, index),
+    while each is the engine's a = -1 iteration; return those moves."""
+    moves = []
+    # each fan's survivors linked by original index, and its removed indices
+    links = [(list(range(-1, len(vs) - 1)), list(range(1, len(vs))) + [0])
+             for vs in fans]
+    gone = [[] for _ in fans]
+    for _, j, i in order:
+        vs = fam.fans[j].vectors
+        prev, nxt = links[j]
+        p, n = prev[i], nxt[i]
+        w, w1, w2 = vs[i], vs[p], vs[n]
+        if (signs[j] * lattice.det2(w2, w1) != -1
+                or w != (w1[0] + w2[0], w1[1] + w2[1])):
+            break
+        position = i - bisect_left(gone[j], i)
+        insort(gone[j], i)
+        apply_move(fans, BLOW_DOWN, j, position, w)
+        moves.append(Move(BLOW_DOWN, j, position, w))
+        if len(moves) > MAX_MOVES:
+            raise _too_many(len(moves))
+        nxt[p], prev[n] = n, p
+    return moves
+
+
 def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     """Drive every vector of the family to a unit vector.
 
@@ -509,11 +546,13 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     needing more than MAX_MOVES moves raises DomainError.
     """
     fans = _lists(fam)
-    norms = [_NormBlocks(vs) for vs in fans]
+    order = sorted((-n, j, i) for j, vs in enumerate(fans)
+                   for i, (x, y) in enumerate(vs) if (n := x * x + y * y) > 1)
     signs = [orientation(fan) for fan in fam.fans]
+    entries = _blow_down_stretch(fam, fans, order, signs)
+    norms = [_NormBlocks(vs) for vs in fans]
     cutter = RunCutter(fans)
-    entries = []
-    logged = 0  # the moves the entries stand for
+    logged = len(entries)  # the moves the entries stand for
     expect = []  # the keys of a run's last repeat, still to come
     while True:
         longest, j = _longest(norms, 1)

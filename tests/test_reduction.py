@@ -8,7 +8,12 @@ import pytest
 import oracles
 import acx4
 from acx4 import reduction
-from acx4.errors import DomainError, MoveInapplicable, NotToddOne
+from acx4.errors import (
+    DomainError,
+    InternalInconsistency,
+    MoveInapplicable,
+    NotToddOne,
+)
 from acx4.reduction import BLOW_DOWN, BLOW_UP, Move
 
 CP2 = acx4.make_cp2_fan((1, 0), (-1, 1))
@@ -318,10 +323,33 @@ def test_first_failure_matches_a_scan():
 
 def test_max_moves_bounds_the_log_exactly(monkeypatch):
     # euclid(100) takes 403 moves, most of them in one run; CP2 takes 3
-    # in single steps
-    for fan, count in ((euclid(100), 403), (CP2, 3)):
+    # in single steps; 200 generated blow-ups are undone by the leading
+    # blow-down stretch alone
+    cases = ((family_of(euclid(100)), 403), (family_of(CP2), 3),
+             (acx4.gen_random_family(5, 2, 200), 200))
+    for fam, count in cases:
         monkeypatch.setattr(reduction, "MAX_MOVES", count)
-        assert len(acx4.reduce_to_minimal(family_of(fan))[1].moves) == count
+        assert len(acx4.reduce_to_minimal(fam)[1].moves) == count
         monkeypatch.setattr(reduction, "MAX_MOVES", count - 1)
-        with pytest.raises(DomainError, match=f"more than MAX_MOVES = {count - 1}"):
-            acx4.reduce_to_minimal(family_of(fan))
+        with pytest.raises(DomainError, match=f"^reduction needs at least {count} "
+                           f"moves, more than MAX_MOVES = {count - 1}$"):
+            acx4.reduce_to_minimal(fam)
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ([(0, -1), (-2, -1), (-2, 0)],
+     "self-intersection 4 at the longest vector (-2, -1); neighbors (0, -1), "
+     "(-2, 0) should have forced -1 <= a <= 1"),
+    ([(0, 2), (2, 0), (2, 2)],
+     "self-intersection -16 at the longest vector (2, 2); neighbors (2, 0), "
+     "(0, 2) should have forced -1 <= a <= 1"),
+    ([(3, 2), (-1, 0), (-3, 2), (-3, 3), (0, 1)],
+     "self-intersection -9 at the longest vector (-3, 3); neighbors (-3, 2), "
+     "(0, 1) should have forced -1 <= a <= 1"),
+])
+def test_unvalidated_fans_fail_the_iteration_check(vectors, message):
+    # (2, 2) and (-3, 3) are the sums of their neighbors, but a is not -1:
+    # the blow-down stretch leaves them to the general loop's check
+    with pytest.raises(InternalInconsistency) as info:
+        acx4.reduce_to_minimal(family_of(acx4.MultiFan(tuple(vectors))))
+    assert str(info.value) == message

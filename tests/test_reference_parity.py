@@ -257,6 +257,44 @@ def test_logs_match_reference_on_growing_fans():
         assert_same_reduction(acx4.realize_chi_y(n0, n1))
 
 
+def test_blow_down_stretch_ends_where_the_reference_first_blows_up(monkeypatch):
+    # the engine takes its leading a = -1 iterations in one sort, then hands
+    # the lists to the general loop; generated families reduce by
+    # blow-downs alone, mutated ones mostly by blow-downs first
+    stretches = []
+    real = reduction._blow_down_stretch
+
+    def counted(*args):
+        moves = real(*args)
+        stretches.append(len(moves))
+        return moves
+
+    monkeypatch.setattr(reduction, "_blow_down_stretch", counted)
+    rng = random.Random(0xB1D)
+    mixed = [oracles.random_mutated_family(rng.randrange(1 << 30), 200)
+             for _ in range(100)]
+    # 1 to 1,500 blow-ups, growing geometrically
+    pure = [acx4.gen_random_family(s, 1 + s % 3, round(1500 ** (s / 99)))
+            for s in range(100)]
+    split = 0
+    for n, fam in enumerate(mixed + pure):
+        stretches.clear()
+        final, log = acx4.reduce_to_minimal(fam)
+        ref_final, ref_log = oracles.reference_reduce_to_minimal(fam)
+        assert final == ref_final
+        assert log == ref_log
+        kinds = [mv.kind for mv in ref_log.moves]
+        first = kinds.index(BLOW_UP) if BLOW_UP in kinds else len(kinds)
+        assert stretches == [first]
+        assert log.entries[:first] == ref_log.entries[:first]
+        if n >= len(mixed):
+            assert log.entries == ref_log.entries
+            assert first == len(kinds)
+        split += 0 < first < len(kinds)
+    # 11 of the mixed logs have a stretch and a general loop after it
+    assert split >= 10
+
+
 def test_replay_matches_reference():
     rng = random.Random(0x2E)
     for _ in range(100):

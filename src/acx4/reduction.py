@@ -546,8 +546,8 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     needing more than MAX_MOVES moves raises DomainError.
     """
     fans = _lists(fam)
-    order = sorted((-n, j, i) for j, vs in enumerate(fans)
-                   for i, (x, y) in enumerate(vs) if (n := x * x + y * y) > 1)
+    order = sorted((-norm, j, i) for j, vs in enumerate(fans)
+                   for i, (x, y) in enumerate(vs) if (norm := x * x + y * y) > 1)
     signs = [orientation(fan) for fan in fam.fans]
     entries = _blow_down_stretch(fam, fans, order, signs)
     norms = [_NormBlocks(vs) for vs in fans]

@@ -9,7 +9,9 @@ a[i] with v[i+1] = -a[i]*v[i] - v[i-1]; the validator checks the
 one-comparison-per-edge determinant form.
 
 validate_multifan checks a whole sequence and is the gate for every input
-from outside the program.  Once a fan is admissible, blow-ups and
+from outside the program; the document readers, which have checked the
+types already, call its admissibility pass alone, admissible_multifan.
+Once a fan is admissible, blow-ups and
 blow-downs keep it so, and they are local: inserting v+w between v and w
 replaces det(v, w) by det(v, v+w) = det(v+w, w), both equal to it, and
 deleting v[i] = v[i-1] + v[i+1] replaces two determinants by
@@ -98,14 +100,29 @@ def as_vec(item, index, where="vector at index {}") -> Vec:
 def validate_multifan(raw) -> MultiFan:
     """Check a vector list for admissibility and wrap it as a MultiFan.
 
-    Errors name the first offending index: ZeroVector, then NotABasis for
+    Two passes: as_vec makes every item an integer pair or names the first
+    that is not, then admissible_multifan checks the sequence.
+    """
+    return admissible_multifan(tuple(as_vec(item, i) for i, item in enumerate(raw)))
+
+
+def admissible_multifan(vectors) -> MultiFan:
+    """validate_multifan's admissibility pass alone, for a sequence whose
+    items are already integer pairs, as a document reader's are.
+
+    After TooShort, all k determinants are computed in one comprehension,
+    and the fan is taken when they are all 1 or all -1.  Otherwise the
+    errors name the first offending index: ZeroVector, then NotABasis for
     the pair ending at that index, then OrientationFlip where consecutive
     determinants first disagree.
     """
-    vs = tuple(as_vec(item, i) for i, item in enumerate(raw))
+    vs = tuple(vectors)
     k = len(vs)
     if k < 3:
         raise TooShort(k)
+    dets = {px * y - py * x for (px, py), (x, y) in zip(vs[-1:] + vs[:-1], vs)}
+    if dets == {1} or dets == {-1}:
+        return MultiFan(vs)
     for i, (x, y) in enumerate(vs):
         if x == 0 and y == 0:
             raise ZeroVector(i)
@@ -123,12 +140,22 @@ def validate_multifan(raw) -> MultiFan:
     return MultiFan(vs)
 
 
-def validate_family(raw_fans) -> MultiFanFamily:
-    """Validate a list of raw vector lists as a family."""
-    fans = tuple(validate_multifan(r) for r in raw_fans)
+def _family(fans) -> MultiFanFamily:
+    fans = tuple(fans)
     if not fans:
         raise DomainError("a family needs at least one fan")
     return MultiFanFamily(fans)
+
+
+def validate_family(raw_fans) -> MultiFanFamily:
+    """Validate a list of raw vector lists as a family."""
+    return _family(map(validate_multifan, raw_fans))
+
+
+def admissible_family(fans) -> MultiFanFamily:
+    """validate_family through admissible_multifan, for fans whose items
+    are already integer pairs."""
+    return _family(map(admissible_multifan, fans))
 
 
 def orientation(fan: MultiFan) -> int:

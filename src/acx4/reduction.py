@@ -548,6 +548,8 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     fans = _lists(fam)
     order = sorted((-norm, j, i) for j, vs in enumerate(fans)
                    for i, (x, y) in enumerate(vs) if (norm := x * x + y * y) > 1)
+    if not order:  # every vector is a unit vector already
+        return _minimal(fam, fans, [])
     signs = [orientation(fan) for fan in fam.fans]
     entries = _blow_down_stretch(fam, fans, order, signs)
     norms = [_NormBlocks(vs) for vs in fans]
@@ -589,6 +591,12 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
             expect = block
     if expect:
         raise InternalInconsistency(_RUN_MISSED)
+    return _minimal(fam, fans, entries)
+
+
+def _minimal(fam, fans, entries) -> tuple[MultiFanFamily, MoveLog]:
+    """The family the reduction ended on, once every fan is minimal, and
+    the log from fam to it."""
     state = _family(fans)
     for fan in state.fans:
         if not is_minimal_fan(fan):

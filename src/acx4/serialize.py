@@ -37,8 +37,25 @@ JSON numbers at any size.
 
 Emission builds the text from fixed %-templates for these shapes, with no
 tree of dicts in between; its bytes are exactly those of
-json.dumps(obj, indent=2) + "\n" on the equivalent tree.  Parsing names the
-path of the first fault, in reading order, and spells paths only then.
+json.dumps(obj, indent=2) + "\n" on the equivalent tree.  A vector list,
+a graph's edges and a fan's plumbing pieces repeat one template, filled
+by one % format in C when one min and one max show that every coordinate
+prints as a JSON number, and coordinate by coordinate otherwise.
+Parsing names the path of the first fault, in reading order, and spells
+paths only then.
+
+A family or graph object from json.loads is first checked whole, with one
+pass in C per kind of value: set(map(type, ...)) and set(map(len, ...))
+over its fans, vectors and coordinates, or over its vertices, edges, ends
+and labels, flattened by chain.from_iterable.  When every fan holds a
+list of 2-element lists of ints, or every vertex and edge end is a string
+and every label such a pair, the values go as they are to the
+admissibility checks, multifan.admissible_family and
+torusgraph.admissible_graph, which skip the per-value type checks of
+validate_family and validate_graph.  type(True) is bool, not int, so a
+boolean misses the check, as does a quoted integer.  On any miss the
+object is read field by field, which finds the first fault in reading
+order, so the payloads and errors are those of the field reader alone.
 
 A log is read in one pass over its moves: each is decoded, applied and
 kept as a Move.  Each applied move goes to a reduction.RunCutter, as in
@@ -69,13 +86,14 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, repeat, starmap
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
+from operator import attrgetter, itemgetter
 
 from .classify import HirzebruchForm
 from .errors import DomainError, MoveInapplicable, ParseError, UnknownFormat, digit_limit
 from .invariants import ChiYReport
-from .multifan import MultiFan, MultiFanFamily, validate_family
+from .multifan import MultiFan, MultiFanFamily, admissible_family
 from .reduction import (
     BLOW_DOWN,
     BLOW_UP,
@@ -87,10 +105,14 @@ from .reduction import (
     apply_move,
     run_steps,
 )
+from .torusgraph import Edge, TorusGraph, admissible_graph
+
 # not called here: bench/workloads.py::span_targets traces serialize.replay,
-# and a traced run fails without this name
+# serialize.validate_family and serialize.validate_graph, and a traced run
+# fails without these names
+from .multifan import validate_family
 from .reduction import replay
-from .torusgraph import TorusGraph, validate_graph
+from .torusgraph import validate_graph
 
 FORMAT_FAMILY = "acx4-fans/1"
 FORMAT_GRAPH = "acx4-graph/1"
@@ -201,8 +223,29 @@ def _fan_from(obj, path):
     return _field(obj, "vectors", path, _each(_vec_from))
 
 
+def _int_pairs(vectors) -> bool:
+    """Whether every item is a 2-element list of ints, checked in C: json
+    gives a pair only as a list, and type(True) is bool, not int."""
+    return (set(map(type, vectors)) <= {list} and set(map(len, vectors)) <= {2}
+            and set(map(type, chain.from_iterable(vectors))) <= {int})
+
+
+def _typed_fans(data):
+    """A family object's fans as tuples of int pairs, when every value has
+    the shape and type the format asks for; else None."""
+    fans = data.get("fans")
+    if type(fans) is list and set(map(type, fans)) <= {dict}:
+        vectors = [fan.get("vectors") for fan in fans]
+        if set(map(type, vectors)) <= {list} and _int_pairs(list(chain.from_iterable(vectors))):
+            return [tuple(map(tuple, vs)) for vs in vectors]
+    return None
+
+
 def _family_from(data, path) -> MultiFanFamily:
-    return validate_family(_field(data, "fans", path, _each(_fan_from)))
+    fans = _typed_fans(data)
+    if fans is None:  # read field by field, which finds the first fault in order
+        fans = _field(data, "fans", path, _each(_fan_from))
+    return admissible_family(fans)
 
 
 def _edge_from(obj, path):
@@ -210,9 +253,29 @@ def _edge_from(obj, path):
             _field(obj, "label", path, _vec_from))
 
 
+def _typed_graph(data):
+    """A graph object's vertices and edges as strings and (str, str, int
+    pair) triples, when every value has the shape and type the format asks
+    for; else None."""
+    vertices, edges = data.get("vertices"), data.get("edges")
+    if type(vertices) is list and type(edges) is list and set(map(type, edges)) <= {dict}:
+        try:
+            srcs, dsts, labels = (list(map(itemgetter(key), edges))
+                                  for key in ("from", "to", "label"))
+        except KeyError:
+            return None
+        if set(map(type, chain(vertices, srcs, dsts))) <= {str} and _int_pairs(labels):
+            return vertices, zip(srcs, dsts, map(tuple, labels))
+    return None
+
+
 def _graph_from(data, path) -> TorusGraph:
-    return validate_graph(_field(data, "vertices", path, _each(_str_from)),
-                          _field(data, "edges", path, _each(_edge_from)))
+    graph = _typed_graph(data)
+    if graph is None:  # read field by field, which finds the first fault in order
+        graph = (_field(data, "vertices", path, _each(_str_from)),
+                 _field(data, "edges", path, _each(_edge_from)))
+    vertices, edges = graph
+    return admissible_graph(vertices, starmap(Edge, edges))
 
 
 def _family_tag(tag, path):
@@ -497,13 +560,29 @@ def _object(p, *fields, end="") -> str:
     return "".join(parts)
 
 
+@cache
 def _vec_template(p) -> str:
     """The template of a vector of two integer texts, its bracket at indent p."""
     return "[\n" + p + "  %s,\n" + p + "  %s\n" + p + "]"
 
 
+def _json_numbers(ints) -> bool:
+    """Whether every integer of a sequence prints as a JSON number, by one
+    min and one max in C."""
+    return not ints or (-_JSON_SAFE_INT <= min(ints) and max(ints) <= _JSON_SAFE_INT)
+
+
+def _filled(item, n, p, values) -> str:
+    """An array at indent p of n copies of the %-template item, filled in
+    order from values by one format in C."""
+    return _array([item] * n, p) % tuple(values)
+
+
 def _vecs(vectors, p) -> str:
     vec = _vec_template(p + "  ")
+    coords = tuple(chain.from_iterable(vectors))
+    if _json_numbers(coords):
+        return _filled(vec % ("%d", "%d"), len(vectors), p, coords)
     return _array([vec % (_int(x), _int(y)) for x, y in vectors], p)
 
 
@@ -514,16 +593,30 @@ def _family_text(fam: MultiFanFamily, p, end="") -> str:
                                     for f in fam.fans], p + "  ")), end=end)
 
 
+@cache
+def _edge_template(p) -> str:
+    """The template of an edge at indent p: its two ends' texts, then its
+    label's two integer texts."""
+    return _object(p, ("from", "%s"), ("to", "%s"), ("label", _vec_template(p + "  ")))
+
+
+_src, _dst, _label = attrgetter("src"), attrgetter("dst"), attrgetter("label")
+
+
 def _graph_text(g: TorusGraph, p, end="") -> str:
-    edge = p + "    "
-    label = _vec_template(edge + "  ")
+    edge = _edge_template(p + "    ")
+    ends = list(map(_string, map(_src, g.edges))), list(map(_string, map(_dst, g.edges)))
+    labels = list(map(_label, g.edges))
+    coords = tuple(chain.from_iterable(labels))
+    if _json_numbers(coords):
+        edges = _filled(edge % ("%s", "%s", "%d", "%d"), len(labels), p + "  ",
+                        chain.from_iterable(zip(*ends, coords[::2], coords[1::2])))
+    else:
+        edges = _array([edge % (src, dst, _int(x), _int(y))
+                        for src, dst, (x, y) in zip(*ends, labels)], p + "  ")
     return _object(p, ("format", _string(FORMAT_GRAPH)),
-                   ("vertices", _array([_string(v) for v in g.vertices], p + "  ")),
-                   ("edges", _array([_object(edge, ("from", _string(e.src)),
-                                             ("to", _string(e.dst)),
-                                             ("label", label % (_int(e.label[0]),
-                                                                _int(e.label[1]))))
-                                     for e in g.edges], p + "  ")), end=end)
+                   ("vertices", _array(list(map(_string, g.vertices)), p + "  ")),
+                   ("edges", edges), end=end)
 
 
 @cache
@@ -671,9 +764,29 @@ def _normal_form_text(form, p) -> str:
                    ("v1", vec % (_int(x1), _int(y1))), ("v2", vec % (_int(x2), _int(y2))))
 
 
-def _plumbing_text(piece, p) -> str:
-    return _object(p, ("euler_number", "%d" % piece.euler_number),
-                   ("sphere_weights", _vecs(piece.sphere_weights, p + "  ")))
+@cache
+def _piece_template(p) -> str:
+    """The template of a plumbing piece at indent p: its Euler number's
+    text, then its two sphere weights' four integer texts."""
+    vecs = _array([_vec_template(p + "    ")] * 2, p + "  ")
+    return _object(p, ("euler_number", "%s"), ("sphere_weights", vecs))
+
+
+_euler, _weights = attrgetter("euler_number"), attrgetter("sphere_weights")
+
+
+def _plumbing_text(pieces, p) -> str:
+    """A fan's plumbing pieces, each with two sphere weights, at indent p."""
+    piece = _piece_template(p + "  ")
+    weights = list(map(_weights, pieces))
+    coords = tuple(chain.from_iterable(chain.from_iterable(weights)))
+    eulers = list(map(_euler, pieces))
+    if _json_numbers(coords):
+        columns = [coords[i::4] for i in range(4)]
+        return _filled(piece % (("%d",) * 5), len(eulers), p,
+                       chain.from_iterable(zip(eulers, *columns)))
+    return _array([piece % ("%d" % a, _int(x1), _int(y1), _int(x2), _int(y2))
+                   for a, ((x1, y1), (x2, y2)) in zip(eulers, weights)], p)
 
 
 def emit_classification(rows) -> str:
@@ -684,8 +797,7 @@ def emit_classification(rows) -> str:
         return _object("", ("fans", _array([
             _object("    ", ("length", "%d" % len(fan.vectors)),
                     ("normal_form", _normal_form_text(form, "      ")),
-                    ("plumbing", _array([_plumbing_text(piece, "        ")
-                                         for piece in plumbing], "      ")))
+                    ("plumbing", _plumbing_text(plumbing, "      ")))
             for fan, form, plumbing in rows], "  ")), end="\n")
 
 

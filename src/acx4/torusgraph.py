@@ -12,7 +12,10 @@ reading is a bijection between admissible graphs and admissible families:
 graph_to_family and family_to_graph invert each other exactly.
 
 validate_graph checks a whole graph and is the gate for every graph from
-outside the program.  The cycle walk reads an incidence map, so an edge
+outside the program; it reads vertex ids and edges into strings and
+integer pairs, then calls admissible_graph, which the document reader
+calls directly on the values it has type-checked.  The cycle walk reads
+an incidence map, so an edge
 end outside the vertices is UnknownVertex and a vertex of another degree
 NotTwoRegular.  weights_at, blow_up_graph and blow_down_graph read one
 directed view instead (_directed): the source and destination of each
@@ -27,7 +30,7 @@ edited alike, with the graph, so a chain of rewrites reads each edge once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, eq
 
 from . import lattice
 from .errors import (
@@ -46,12 +49,12 @@ from .errors import (
 from .lattice import Vec
 from .multifan import (
     MultiFanFamily,
+    admissible_multifan,
     as_vec,
     blow_down_inplace,
     blow_up_inplace,
     is_minimal_fan,
     validate_family,
-    validate_multifan,
 )
 
 
@@ -82,12 +85,17 @@ def _as_edge(item, index) -> Edge:
 def _walk(g, inc, start, idx, outgoing):
     # the cycle from start along edge idx, as (edge index, oriented edge)
     cycle = []
+    append = cycle.append
+    edges = g.edges
     cur = start
     while True:
-        e = g.edges[idx]
-        oriented = e if outgoing else Edge(cur, e.src, lattice.neg(e.label))
-        cycle.append((idx, oriented))
-        cur = oriented.dst
+        e = edges[idx]
+        if outgoing:
+            append((idx, e))
+            cur = e.dst
+        else:
+            append((idx, Edge(cur, e.src, lattice.neg(e.label))))
+            cur = e.src
         if cur == start:
             return cycle
         a, b = inc[cur]
@@ -104,6 +112,11 @@ def normalized_components(g: TorusGraph):
     walked against their stored direction appear reversed with negated
     labels.  A vertex meeting other than two edge ends (in a graph that
     skipped validate_graph) raises NotTwoRegular, so every walk closes.
+
+    Each component is walked once from its first vertex, and that walk is
+    rotated to start at the least vertex.  It is walked a second time, from
+    there, only when the start edge above runs against the first walk's
+    direction.
     """
     # vertex -> [(edge index, outgoing?)], two entries per vertex once validated
     inc = {v: [] for v in g.vertices}
@@ -121,48 +134,76 @@ def normalized_components(g: TorusGraph):
     for seed in g.vertices:
         if seed in visited:
             continue
-        component = [oe.src for _, oe in _walk(g, inc, seed, *inc[seed][0])]
+        cycle = _walk(g, inc, seed, *inc[seed][0])
+        component = [oe.src for _, oe in cycle]
         visited.update(component)
         start = min(component)
+        at = component.index(start)
         a, b = inc[start]
-        cycles.append(_walk(g, inc, start, *(a if a[1] or not b[1] else b)))
+        idx, outgoing = a if a[1] or not b[1] else b
+        if cycle[at][0] == idx:
+            cycles.append(cycle[at:] + cycle[:at])
+        else:
+            cycles.append(_walk(g, inc, start, idx, outgoing))
     return cycles
 
 
 def validate_graph(vertices, edges) -> TorusGraph:
     """Check structure and label admissibility; return the validated graph.
 
-    Structure: known endpoints, nonzero labels, no self-loops, at most one
-    edge per vertex pair, exactly two edge ends at each vertex.  Labels:
-    the two weights at every vertex form a lattice basis and each cycle
-    label is an integer combination -a*w2 - w1 of its two predecessors,
-    checked as a constant consecutive determinant along the traversal.
+    Vertex ids are read with str, and each edge must be an Edge or a
+    (src, dst, label) triple whose label is an integer pair; then
+    admissible_graph checks the rest.
     """
-    verts = tuple(str(v) for v in vertices)
+    return admissible_graph(map(str, vertices),
+                            (_as_edge(item, i) for i, item in enumerate(edges)))
+
+
+def admissible_graph(vertices, edges) -> TorusGraph:
+    """validate_graph for vertex ids that are already strings and Edges
+    whose ends are strings and whose labels are integer pairs, as a
+    document reader's are; the reader builds the Edges straight from the
+    triples it checked.  edges is read only after the vertices pass, so
+    it may be a lazy iterable that checks types.
+
+    Structure: at least one vertex, no duplicate vertex id, known
+    endpoints, nonzero labels, no self-loops, at most one edge per vertex
+    pair, exactly two edge ends at each vertex.  Labels: the two weights
+    at every vertex form a lattice basis and each cycle label is an
+    integer combination -a*w2 - w1 of its two predecessors, checked as a
+    constant consecutive determinant along the traversal.
+    """
+    verts = tuple(vertices)
     if not verts:
         raise DomainError("a graph needs at least one cycle of vertices")
     if len(set(verts)) != len(verts):
         raise DomainError("duplicate vertex id")
-    es = tuple(_as_edge(item, i) for i, item in enumerate(edges))
-    for e in es:
-        if e.label == (0, 0):
-            raise ZeroLabel(e)
-        if e.src == e.dst:
-            raise SelfLoop(e)
-    seen_pairs = set()
-    for e in es:
-        pair = frozenset((e.src, e.dst))
-        if pair in seen_pairs:
-            raise MultiEdge(e.src, e.dst)
-        seen_pairs.add(pair)
+    es = tuple(edges)
+    srcs, dsts = list(map(_src, es)), list(map(_dst, es))
+    # each test runs in C, and its loop only to name the first fault
+    if (0, 0) in map(_label, es) or any(map(eq, srcs, dsts)):
+        for e in es:
+            if e.label == (0, 0):
+                raise ZeroLabel(e)
+            if e.src == e.dst:
+                raise SelfLoop(e)
+    # with no self-loop, two edges share a vertex pair when they share a
+    # direction or one runs the other's way back
+    pairs = set(zip(srcs, dsts))
+    if len(pairs) != len(es) or not pairs.isdisjoint(zip(dsts, srcs)):
+        seen_pairs = set()
+        for e in es:
+            pair = frozenset((e.src, e.dst))
+            if pair in seen_pairs:
+                raise MultiEdge(e.src, e.dst)
+            seen_pairs.add(pair)
 
     # normalized_components raises UnknownVertex for an edge end outside the
     # vertices and NotTwoRegular for a vertex of another degree
     g = TorusGraph(verts, es)
     for cycle in normalized_components(g):
-        labels = [oe.label for _, oe in cycle]
         try:
-            validate_multifan(labels)
+            admissible_multifan([oe.label for _, oe in cycle])
         except NotABasis as exc:
             # the failing pair meets at the source of the edge at that index
             raise WeightsNotBasis(cycle[exc.index][1].src) from None
@@ -236,6 +277,7 @@ def _fresh(base, taken):
 
 _src = attrgetter("src")
 _dst = attrgetter("dst")
+_label = attrgetter("label")
 
 
 def _directed(g: TorusGraph):

@@ -8,10 +8,10 @@ evidence the tests rely on.  The last sections are different: they keep
 the slower rewrite, reduction and canonical-form code that the library's
 fast paths replaced, built on the full validator, the normal-form
 readers that the library's direct readings replaced, the cycle walk as
-its docstring states it, the exact-ratio SVG scaling, the
-json.dumps(indent=2) emitter, and the log emitter that wrote a run's
-moves one % format each, as the reference those paths must match
-exactly.
+its docstring states it and the two-walk version it replaced, the
+exact-ratio SVG scaling, the json.dumps(indent=2) emitter, and the log
+emitter that wrote a run's moves one % format each, as the reference
+those paths must match exactly.
 """
 
 import json
@@ -28,6 +28,7 @@ from acx4.errors import (
     MoveInapplicable,
     NotBlowDownable,
     NotToddOne,
+    NotTwoRegular,
     PreconditionViolated,
     UnknownVertex,
     digit_limit,
@@ -594,6 +595,49 @@ def reference_normalized_components(g):
             (idx,) = [i for i, f in enumerate(g.edges)
                       if i != idx and cur in (f.src, f.dst)]
         cycles.append(cycle)
+    return cycles
+
+
+# normalized_components walks each component once and rotates the walk to
+# its least vertex.  The code below is what it replaced, kept as it was: an
+# incidence map, one walk from the component's first vertex to find its
+# vertices, and a second walk from the least of them.
+
+def _two_walk_cycle(g, inc, start, idx, outgoing):
+    cycle = []
+    cur = start
+    while True:
+        e = g.edges[idx]
+        oriented = e if outgoing else acx4.Edge(cur, e.src, neg(e.label))
+        cycle.append((idx, oriented))
+        cur = oriented.dst
+        if cur == start:
+            return cycle
+        a, b = inc[cur]
+        idx, outgoing = b if a[0] == idx else a
+
+
+def two_walk_normalized_components(g):
+    inc = {v: [] for v in g.vertices}
+    try:
+        for idx, e in enumerate(g.edges):
+            inc[e.src].append((idx, True))
+            inc[e.dst].append((idx, False))
+    except KeyError as exc:
+        raise UnknownVertex(exc.args[0]) from None
+    for v, slots in inc.items():
+        if len(slots) != 2:
+            raise NotTwoRegular(v, len(slots))
+    visited = set()
+    cycles = []
+    for seed in g.vertices:
+        if seed in visited:
+            continue
+        component = [oe.src for _, oe in _two_walk_cycle(g, inc, seed, *inc[seed][0])]
+        visited.update(component)
+        start = min(component)
+        a, b = inc[start]
+        cycles.append(_two_walk_cycle(g, inc, start, *(a if a[1] or not b[1] else b)))
     return cycles
 
 

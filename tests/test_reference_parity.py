@@ -672,6 +672,113 @@ def test_noncanonical_logs_read_through_json_loads(monkeypatch):
         assert got.entries == tree_parse(text).payload.entries
 
 
+# --- the typed family and graph readers --------------------------------------
+
+def field_parse(text):
+    """parse_document with the shape checks of family and graph trees
+    switched off, so every family and graph is read field by field."""
+    with mock.patch.object(serialize, "_typed_fans", lambda data: None), \
+            mock.patch.object(serialize, "_typed_graph", lambda data: None):
+        return parse_document(text)
+
+
+@functools.cache
+def reader_trees():
+    """json.loads trees of family and graph documents: generated families,
+    their graphs as family_to_graph stores them and scrambled, and a family
+    whose first fan passes 2**53 - 1 beside a unit fan, which prints quoted
+    integers."""
+    rng = random.Random(0x27)
+    fams = [acx4.gen_random_family(seed, 1 + seed % 3, 4 * seed) for seed in range(8)]
+    fams.append(acx4.MultiFanFamily(
+        (hirzebruch_fan(SAFE + 1),) + acx4.make_minimal_family([1]).fans))
+    payloads = []
+    for fam in fams:
+        g = acx4.family_to_graph(fam)
+        payloads += [fam, g, oracles.scramble_graph(g, rng)]
+    return [json.loads(emit_document(document_for(payload))) for payload in payloads]
+
+
+def vector_slots(tree):
+    """(container, key) of every vector of a family or graph tree."""
+    if "fans" in tree:
+        return [(fan["vectors"], i) for fan in tree["fans"] for i in range(len(fan["vectors"]))]
+    return [(edge, "label") for edge in tree["edges"]]
+
+
+def field_slots(tree):
+    """(container, key) of every field a family or graph reader requires."""
+    if "fans" in tree:
+        return [(tree, "fans")] + [(fan, "vectors") for fan in tree["fans"]]
+    return [(tree, "vertices"), (tree, "edges")] + [
+        (edge, key) for edge in tree["edges"] for key in ("from", "to", "label")]
+
+
+def test_typed_readers_take_every_document_of_plain_integers():
+    for tree in reader_trees():
+        typed = (serialize._typed_fans if "fans" in tree else serialize._typed_graph)(tree)
+        quoted = any(type(c) is str for box, key in vector_slots(tree) for c in box[key])
+        assert (typed is None) == quoted
+        text = json.dumps(tree, indent=2) + "\n"
+        assert parse_document(text) == field_parse(text)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_documents_read_like_the_field_reader(data):
+    # a family or graph document with one fault or oddity: the typed reader
+    # must give the field reader's payload or its error, class, message and
+    # path alike
+    tree = copy.deepcopy(data.draw(st.sampled_from(reader_trees())))
+    graph = "fans" not in tree
+    kinds = ["text", "value", "key", "empty", "inadmissible"] + ["vertex"] * graph
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "value":
+        box, key = data.draw(st.sampled_from(vector_slots(tree)))
+        c = data.draw(st.integers(0, 1))
+        n = int(box[key][c])
+        odd = data.draw(st.sampled_from(["float", "bool", "triple", "quoted", "big"]))
+        if odd == "triple":
+            box[key] = box[key] + [data.draw(st.integers(-2, 2))]
+        else:
+            box[key][c] = {"float": float(n), "bool": data.draw(st.booleans()),
+                           "quoted": str(n),
+                           "big": data.draw(st.sampled_from([1, -1])) * (SAFE + n % 3 + 1)}[odd]
+    elif kind in ("key", "empty"):
+        box, key = data.draw(st.sampled_from(field_slots(tree)))
+        if kind == "key":
+            del box[key]
+        else:
+            box[key] = {}
+    elif kind == "vertex":
+        box, key = data.draw(st.sampled_from(
+            [(tree["vertices"], i) for i in range(len(tree["vertices"]))]
+            + [(edge, end) for edge in tree["edges"] for end in ("from", "to")]))
+        box[key] = data.draw(st.sampled_from([0, 7, None, ["p1,1"]]))
+    elif kind == "inadmissible":
+        box, key = data.draw(st.sampled_from(vector_slots(tree)))
+        how = data.draw(st.sampled_from(["nudge", "swap"]))
+        if how == "nudge":
+            c = data.draw(st.integers(0, 1))
+            box[key][c] = int(box[key][c]) + data.draw(st.sampled_from([1, -1]))
+        elif graph:
+            box["from"], box["to"] = box["to"], box["from"]
+        else:
+            box[key], box[key - 1] = box[key - 1], box[key]
+    text = json.dumps(tree, indent=data.draw(st.sampled_from([None, 2])))
+    if kind == "text":
+        at = data.draw(st.integers(0, len(text) - 1))
+        char = data.draw(st.sampled_from('0123456789-+.,:[]{}" \n\tetn') | st.characters())
+        edit = data.draw(st.sampled_from(["change", "insert", "delete"]))
+        if edit == "change":
+            text = text[:at] + char + text[at + 1:]
+        elif edit == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    assert outcome_of(parse_document, text) == outcome_of(field_parse, text)
+
+
 # --- graph rewrites --------------------------------------------------------------
 
 def assert_same_graph_rewrites(g):

@@ -416,12 +416,19 @@ def test_edge_documents_match_json_dumps():
     big = [SAFE, -SAFE, SAFE + 1, -SAFE - 1]
     fams = [acx4.MultiFanFamily((acx4.make_hirzebruch_fan((1, 0), (0, 1), n),))
             for n in big]
+    # a fan on each side of 2**53 - 1 beside a unit fan: its vector lists,
+    # graph edges and plumbing pieces print from the %d template and the
+    # quoted one within one document
+    unit = acx4.make_minimal_family([1]).fans
+    mixed = [acx4.MultiFanFamily(fam.fans + unit) for fam in fams]
     moves = tuple(acx4.Move(kind, 0, 1, (x, y))
                   for kind in (acx4.BLOW_UP, acx4.BLOW_DOWN)
                   for x in big for y in big)
     docs = [document_for(payload) for fam in fams for payload in (
         fam, acx4.family_to_graph(fam), acx4.MoveLog(fam, (), fam),
         acx4.MoveLog(fam, moves, fams[0]))]
+    docs += [document_for(payload) for fam in mixed
+             for payload in (fam, acx4.family_to_graph(fam))]
     names = ODD_NAMES[:4]
     edges = [(names[i], names[(i + 1) % 4], v)
              for i, v in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)])]
@@ -431,7 +438,7 @@ def test_edge_documents_match_json_dumps():
              document_for(acx4.chi_y_report(fams[0]))]
     for doc in docs:
         assert emit_document(doc) == oracles.reference_emit_document(doc)
-    for fam in fams:
+    for fam in fams + mixed:
         rows = classification_rows(fam) + [(fam.fans[0], None, [])]
         assert emit_classification(rows) == oracles.reference_emit_classification(rows)
     assert emit_classification([]) == oracles.reference_emit_classification([])

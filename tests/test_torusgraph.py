@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 import oracles
 import acx4
+from acx4 import torusgraph
 from acx4.errors import (
     DomainError,
     MultiEdge,
@@ -409,6 +411,44 @@ def test_cycle_walk_matches_its_docstring():
             assert normalized_components(g) == oracles.reference_normalized_components(g)
             assert acx4.normalize_orientation(g) == oracles.reference_normalize_orientation(g)
             assert acx4.graph_to_family(g) == oracles.reference_graph_to_family(g)
+
+
+def reversed_edges(g, flip):
+    """g with the edges at the indices flip stored the other way round, each
+    with its label negated: the same graph."""
+    return TorusGraph(g.vertices, tuple(
+        Edge(e.dst, e.src, (-e.label[0], -e.label[1])) if i in flip else e
+        for i, e in enumerate(g.edges)))
+
+
+def test_single_walk_matches_the_two_walk_components(criterion_4_reductions):
+    # each component is walked once and rotated to its least vertex, and
+    # walked again only when its start edge runs against that walk
+    rng = random.Random(0x27)
+    graphs = []
+    for _ in range(200):
+        g = acx4.family_to_graph(acx4.gen_random_family(
+            rng.randrange(1 << 30), rng.randint(1, 3), rng.randint(0, 12)))
+        first = len(acx4.graph_to_family(g).fans[0])
+        # scrambled directions; mixed directions in one cycle; a first
+        # vertex that is not the least one, with the cycle stored forwards
+        # and backwards
+        graphs += [oracles.scramble_graph(g, rng),
+                   reversed_edges(g, set(rng.sample(range(first), rng.randint(1, first - 1))))]
+        at = rng.randrange(1, len(g.vertices))
+        rotated = TorusGraph(g.vertices[at:] + g.vertices[:at], g.edges)
+        graphs += [rotated, reversed_edges(rotated, set(range(len(g.edges))))]
+    graphs += [acx4.family_to_graph(fam) for fam, _, _ in criterion_4_reductions]
+    walks = components = 0
+    with mock.patch.object(torusgraph, "_walk", wraps=torusgraph._walk) as walk:
+        for g in graphs:
+            cycles = normalized_components(g)
+            assert cycles == oracles.two_walk_normalized_components(g)
+            walks += walk.call_count
+            components += len(cycles)
+            walk.reset_mock()
+    # both ways are taken: one walk per component, and two
+    assert components < walks < 2 * components
 
 
 def test_blow_up_graph_skips_taken_names():

@@ -427,9 +427,10 @@ def test_single_walk_matches_the_two_walk_components(criterion_4_reductions):
     rng = random.Random(0x27)
     graphs = []
     for _ in range(200):
-        g = acx4.family_to_graph(acx4.gen_random_family(
-            rng.randrange(1 << 30), rng.randint(1, 3), rng.randint(0, 12)))
-        first = len(acx4.graph_to_family(g).fans[0])
+        fam = acx4.gen_random_family(rng.randrange(1 << 30), rng.randint(1, 3),
+                                     rng.randint(0, 12))
+        g = acx4.family_to_graph(fam)
+        first = len(fam.fans[0])  # the edges of the first cycle come first
         # scrambled directions; mixed directions in one cycle; a first
         # vertex that is not the least one, with the cycle stored forwards
         # and backwards

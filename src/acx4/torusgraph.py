@@ -15,16 +15,29 @@ validate_graph checks a whole graph and is the gate for every graph from
 outside the program; it reads vertex ids and edges into strings and
 integer pairs, then calls admissible_graph, which the document reader
 calls directly on the values it has type-checked.  The cycle walk reads
-an incidence map, so an edge
-end outside the vertices is UnknownVertex and a vertex of another degree
-NotTwoRegular.  weights_at, blow_up_graph and blow_down_graph read one
-directed view instead (_directed): the source and destination of each
-edge once every cycle is directed.  A graph a rewrite returns carries it;
-any other graph gets it only if it passes the walk's checks and lists no
-vertex twice.  A rewrite finds the touched edges in it, edits the vertex
-and edge tuples around them, leaves every sum and determinant test to the
-fan kernel blow_up_inplace / blow_down_inplace, and returns the view,
-edited alike, with the graph, so a chain of rewrites reads each edge once.
+an incidence map, so an edge end outside the vertices is UnknownVertex
+and a vertex of another degree NotTwoRegular.
+
+weights_at, blow_up_graph and blow_down_graph read a directed view of a
+graph (_View): its vertices and its edges once every cycle is directed,
+as lists, the source and destination of each edge, and the set of vertex
+names.  One graph at a time owns a view.  A rewrite claims the view of
+its argument with one atomic set.remove of the argument's token, checks
+the touched determinants through the fan kernel blow_up_inplace /
+blow_down_inplace, edits the lists and the name set in place, and hands
+the view to its result under a fresh token; the result's vertices and
+edges are one tuple copy of each list.  A rewrite that raises has edited
+nothing and gives the view back.  weights_at claims the view, reads it
+and gives it back.  A graph that owns no view pays one rebuild from its
+own fields, a pass over its edges (and a normalization when a cycle is
+not directed): a graph from validate_graph, the reader or
+family_to_graph, an older version whose view a rewrite has taken, or a
+copy.copy of a graph whose view another copy took first.  It passes the
+walk's checks and lists no vertex twice, or is refused.  The view a
+rewrite builds goes to its result, and the view weights_at builds stays
+with the graph.  What stays O(V) per rewrite runs at C speed: the index
+lookups of the touched vertices and edges, the list inserts and
+deletions, and the two tuple copies.
 """
 
 from __future__ import annotations
@@ -58,17 +71,27 @@ from .multifan import (
 )
 
 
-@dataclass(frozen=True)
+# The generated frozen __init__ sets each field through object.__setattr__;
+# filling __dict__ in one update costs about half as much, and leaves the
+# fields, ==, hash, repr, dataclasses.replace and pickling as they were.
+
+@dataclass(frozen=True, init=False)
 class Edge:
     src: str
     dst: str
     label: Vec
 
+    def __init__(self, src: str, dst: str, label: Vec):
+        self.__dict__.update(src=src, dst=dst, label=label)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TorusGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        self.__dict__.update(vertices=vertices, edges=edges)
 
 
 def _as_edge(item, index) -> Edge:
@@ -218,18 +241,17 @@ def weights_at(g: TorusGraph, v: str) -> tuple[Vec, Vec]:
     """The two tangent weights at a vertex, sorted: the label of the edge
     leaving v and the negated label of the edge entering it, once every
     cycle is directed.  Both are found by index in the directed view of g,
-    so a malformed unvalidated graph is refused as the cycle walk refuses
-    it, or for a vertex listed twice.
+    which g keeps, so a malformed unvalidated graph is refused as the
+    cycle walk refuses it, or for a vertex listed twice.
 
     A graph has no positions, so this reads the edges at v rather than
     multifan.fixed_point_weights; at the vertex between vectors i-1 and i
     of a fan the two give the same pair (v[i], -v[i-1]), here sorted.
     """
-    if v not in g.vertices:
-        raise UnknownVertex(v)
-    g, srcs, dsts = _directed(g)
-    out_e = g.edges[srcs.index(v)]
-    in_e = g.edges[dsts.index(v)]
+    view = _claim(g, (v,))
+    out_e = view.edges[view.srcs.index(v)]
+    in_e = view.edges[view.dsts.index(v)]
+    _hand(g, view)
     return tuple(sorted((out_e.label, lattice.neg(in_e.label))))
 
 
@@ -280,46 +302,76 @@ _dst = attrgetter("dst")
 _label = attrgetter("label")
 
 
-def _directed(g: TorusGraph):
-    """g with every cycle directed, and the source and destination vertex
-    of each of its edges.
+class _View:
+    """The directed view of one graph: its vertices and its edges as
+    lists, edge i running from srcs[i] to dsts[i], and the set of its
+    vertex names.  A graph g carries it as vars(g)["_view"] = (view,
+    token), outside the fields that ==, hash, repr and dataclasses.fields
+    read, and owns it while token is in view.owner, which holds at most
+    one token."""
 
-    A graph returned by a rewrite carries the two lists (see _rewritten),
-    which come back uncopied: callers must only read them.  Any other
-    graph has them read from its edges.  When every vertex is the source
-    of exactly one edge and the destination of exactly one, g is already a
-    union of directed cycles, which normalization would reproduce.
-    Otherwise g is normalized, which raises UnknownVertex or NotTwoRegular
-    on a malformed graph; after that, only a vertex listed twice fails.
+    __slots__ = ("owner", "vertices", "edges", "srcs", "dsts", "names")
+
+    def __init__(self, vertices, edges, srcs, dsts, names):
+        self.owner = set()
+        self.vertices = vertices
+        self.edges = edges
+        self.srcs = srcs
+        self.dsts = dsts
+        self.names = names
+
+
+def _hand(g: TorusGraph, view: _View) -> TorusGraph:
+    """Make g the owner of view, under a fresh token; returns g."""
+    token = object()
+    view.owner.add(token)
+    vars(g)["_view"] = view, token
+    return g
+
+
+def _claim(g: TorusGraph, named) -> _View:
+    """Take g's view from it, or build one when g owns none, once each
+    vertex in named is found to be one of g's (else UnknownVertex, and g
+    keeps its view).  The caller hands the view on, to g or to a new
+    graph; a view nobody is handed is dropped, and its graph builds a new
+    one when next asked.
     """
-    ends = getattr(g, "_ends", None)
-    if ends is not None:
-        return g, *ends
+    try:
+        view, token = vars(g)["_view"]
+        view.owner.remove(token)  # atomic, so of two claimants one wins
+    except KeyError:  # g carries no view, or another graph has claimed it
+        view = None
+    names = set(g.vertices) if view is None else view.names
+    for v in named:
+        try:
+            known = v in names
+        except TypeError:  # unhashable, so no vertex's name
+            known = False
+        if not known:
+            if view is not None:
+                _hand(g, view)
+            raise UnknownVertex(v)
+    return _view_of(g, names) if view is None else view
+
+
+def _view_of(g: TorusGraph, names) -> _View:
+    """A new view of g, whose vertex names are the set names.
+
+    When every vertex is the source of exactly one edge and the
+    destination of exactly one, g is already a union of directed cycles,
+    which normalization would reproduce.  Otherwise g is normalized, which
+    raises UnknownVertex or NotTwoRegular on a malformed graph; after
+    that, only a vertex listed twice fails.
+    """
     for normalized in (False, True):
         if normalized:
             g = normalize_orientation(g)
         srcs = list(map(_src, g.edges))
         dsts = list(map(_dst, g.edges))
-        vertices = set(g.vertices)
-        if (len(vertices) == len(g.vertices) == len(srcs)
-                and vertices == set(srcs) == set(dsts)):
-            return g, srcs, dsts
+        if (len(names) == len(g.vertices) == len(srcs)
+                and names == set(srcs) == set(dsts)):
+            return _View(list(g.vertices), list(g.edges), srcs, dsts, names)
     raise DomainError("duplicate vertex id")
-
-
-def _rewritten(vertices, edges, srcs, dsts) -> TorusGraph:
-    """The graph a rewrite returns, carrying srcs and dsts outside its
-    fields, where ==, hash, repr and dataclasses.fields never see them."""
-    g = TorusGraph(vertices, tuple(edges))
-    object.__setattr__(g, "_ends", (srcs, dsts))
-    return g
-
-
-def _slot(g: TorusGraph, v) -> int:
-    try:
-        return g.vertices.index(v)
-    except ValueError:
-        raise UnknownVertex(v) from None
 
 
 def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
@@ -331,20 +383,28 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     incoming edge, and the outer edges keep their labels.  An undirected g
     is normalized first.  Only the two edges at v change, so the fan
     kernel checks the one determinant det(w1, w2) in place of
-    validate_graph.
+    validate_graph.  The result takes g's directed view, edited in place.
     """
-    slot = _slot(g, v)
-    g, srcs, dsts = _directed(g)
-    edges, srcs, dsts = list(g.edges), srcs[:], dsts[:]
-    in_idx = dsts.index(v)
-    out_idx = srcs.index(v)
-    in_e = edges[in_idx]
-    out_e = edges[out_idx]
-    middle = blow_up_inplace([in_e.label, out_e.label], 0)
+    view = _claim(g, (v,))
+    vertices, edges, srcs, dsts = view.vertices, view.edges, view.srcs, view.dsts
+    try:
+        slot = vertices.index(v)
+        in_idx = dsts.index(v)
+        out_idx = srcs.index(v)
+        in_e = edges[in_idx]
+        out_e = edges[out_idx]
+        middle = blow_up_inplace([in_e.label, out_e.label], 0)
+    except BaseException:
+        _hand(g, view)  # nothing is edited yet
+        raise
+    names = view.names
     # candidates are longer than v, and no v'... name equals a v''... name
-    v1 = _fresh(v + "'", g.vertices)
-    v2 = _fresh(v + "''", g.vertices)
-    vertices = g.vertices[:slot] + (v1, v2) + g.vertices[slot + 1 :]
+    v1 = _fresh(v + "'", names)
+    v2 = _fresh(v + "''", names)
+    names.remove(v)
+    names.update((v1, v2))
+    vertices[slot] = v1
+    vertices.insert(slot + 1, v2)
     edges[in_idx] = Edge(in_e.src, v1, in_e.label)
     edges[out_idx] = Edge(v2, out_e.dst, out_e.label)
     edges.insert(in_idx + 1, Edge(v1, v2, middle))
@@ -354,7 +414,7 @@ def blow_up_graph(g: TorusGraph, v: str) -> TorusGraph:
     srcs[out_idx] = v2
     srcs.insert(in_idx + 1, v1)
     dsts.insert(in_idx + 1, v2)
-    return _rewritten(vertices, edges, srcs, dsts)
+    return _hand(TorusGraph(tuple(vertices), tuple(edges)), view)
 
 
 def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
@@ -367,7 +427,8 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     and the earlier of their two vertex slots.  An undirected g is
     normalized first.  Only the three edges of the pattern change, so the
     fan kernel checks the sum and the one determinant det(w1, w2) in place
-    of validate_graph.
+    of validate_graph.  The result takes g's directed view, edited in
+    place.
     """
     if isinstance(edge, Edge):
         a, b = edge.src, edge.dst
@@ -376,28 +437,33 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
             a, b = edge
         except (TypeError, ValueError):
             raise DomainError(f"edge {edge!r} is not an Edge or a pair") from None
-    # keep the earlier slot so component discovery order is undisturbed
-    keep, drop = sorted((_slot(g, a), _slot(g, b)))
-    g, srcs, dsts = _directed(g)
-    edges, srcs, dsts = list(g.edges), srcs[:], dsts[:]
-    mid_idx = srcs.index(a)
-    if dsts[mid_idx] != b:
-        mid_idx = srcs.index(b)
-        if dsts[mid_idx] != a:
-            raise DomainError(f"no edge joins {a!r} and {b!r}")
-    mid = edges[mid_idx]
-    p1, p2 = mid.src, mid.dst
-    in_idx = dsts.index(p1)
-    out_idx = srcs.index(p2)
-    in_e = edges[in_idx]
-    out_e = edges[out_idx]
+    view = _claim(g, (a, b))
+    vertices, edges, srcs, dsts = view.vertices, view.edges, view.srcs, view.dsts
     try:
-        blow_down_inplace([in_e.label, mid.label, out_e.label], 1)
-    except NotBlowDownable:  # the kernel names a list index, not the vertices
-        raise NotBlowDownable((p1, p2)) from None
+        # keep the earlier slot so component discovery order is undisturbed
+        keep, drop = sorted((vertices.index(a), vertices.index(b)))
+        mid_idx = srcs.index(a)
+        if dsts[mid_idx] != b:
+            mid_idx = srcs.index(b)
+            if dsts[mid_idx] != a:
+                raise DomainError(f"no edge joins {a!r} and {b!r}")
+        mid = edges[mid_idx]
+        p1, p2 = mid.src, mid.dst
+        in_idx = dsts.index(p1)
+        out_idx = srcs.index(p2)
+        in_e = edges[in_idx]
+        out_e = edges[out_idx]
+        try:
+            blow_down_inplace([in_e.label, mid.label, out_e.label], 1)
+        except NotBlowDownable:  # the kernel names a list index, not the vertices
+            raise NotBlowDownable((p1, p2)) from None
+    except BaseException:
+        _hand(g, view)  # nothing is edited yet
+        raise
     p = min(p1, p2)
-    vs = g.vertices
-    vertices = vs[:keep] + (p,) + vs[keep + 1 : drop] + vs[drop + 1 :]
+    view.names.remove(max(p1, p2))
+    vertices[keep] = p
+    del vertices[drop]
     edges[in_idx] = Edge(in_e.src, p, in_e.label)
     edges[out_idx] = Edge(p, out_e.dst, out_e.label)
     del edges[mid_idx]
@@ -406,7 +472,7 @@ def blow_down_graph(g: TorusGraph, edge) -> TorusGraph:
     dsts[in_idx] = p
     srcs[out_idx] = p
     del srcs[mid_idx], dsts[mid_idx]
-    return _rewritten(vertices, edges, srcs, dsts)
+    return _hand(TorusGraph(tuple(vertices), tuple(edges)), view)
 
 
 def is_minimal_graph(g: TorusGraph) -> bool:

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -13,6 +15,7 @@ import acx4
 from acx4 import torusgraph
 from acx4.errors import (
     DomainError,
+    InternalInconsistency,
     MultiEdge,
     NotBlowDownable,
     NotTwoRegular,
@@ -521,6 +524,147 @@ def test_malformed_graphs_are_refused_at_the_first_rewrite_or_query():
             got = (type(exc.value), str(exc.value), vars(exc.value))
             assert got == (type(want), str(want), vars(want)), (name, reader)
 
+
+
+def test_edges_and_graphs_keep_the_dataclass_protocol():
+    # both fill __dict__ in one update instead of the generated __init__
+    e = Edge("a", "b", (1, 0))
+    back = Edge("b", "a", (0, 1))
+    g = TorusGraph(("a", "b"), (e, back))
+    assert [f.name for f in dataclasses.fields(e)] == ["src", "dst", "label"]
+    assert [f.name for f in dataclasses.fields(g)] == ["vertices", "edges"]
+    assert e == Edge(src="a", dst="b", label=(1, 0)) != Edge("a", "b", (0, 1))
+    assert g == TorusGraph(edges=(e, back), vertices=("a", "b")) != TorusGraph(("a",), ())
+    assert hash(e) == hash(("a", "b", (1, 0)))
+    assert hash(g) == hash((("a", "b"), (e, back)))
+    assert repr(e) == "Edge(src='a', dst='b', label=(1, 0))"
+    assert repr(g) == f"TorusGraph(vertices=('a', 'b'), edges=({e!r}, {back!r}))"
+    assert dataclasses.replace(e, label=(2, 1)) == Edge("a", "b", (2, 1))
+    assert dataclasses.replace(g, vertices=("b", "a")) == TorusGraph(("b", "a"), g.edges)
+    assert dataclasses.astuple(g) == (("a", "b"), (("a", "b", (1, 0)), ("b", "a", (0, 1))))
+    for x in (e, g):
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert vars(copy.copy(x)) == vars(x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.src = "c"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = ()
+
+
+def test_a_result_its_copy_and_its_pickle_rewrite_like_the_reference():
+    # a copy.copy shares the result's view, and whichever of the two
+    # rewrites first takes it; a pickle round trip holds a view of its own
+    g = acx4.family_to_graph(acx4.make_minimal_family([1, -1]))
+    first = acx4.blow_up_graph(g, "p1,2")
+    v, ends = "p2,3", ("p1,2'", "p1,2''")
+    want_up = oracles.reference_blow_up_graph(first, v)
+    want_down = oracles.reference_blow_down_graph(first, ends)
+    for order in (1, -1):
+        result = acx4.blow_up_graph(g, "p1,2")
+        versions = [result, copy.copy(result), pickle.loads(pickle.dumps(result))]
+        for h in versions[::order]:
+            up = acx4.blow_up_graph(h, v)
+            assert up == want_up
+            assert acx4.blow_down_graph(h, ends) == want_down
+            assert acx4.blow_down_graph(up, ends) == oracles.reference_blow_down_graph(
+                want_up, ends)
+            assert h == first
+
+
+def test_a_failed_rewrite_gives_its_argument_back_its_view():
+    # each failure comes from a lookup or the kernel check, before the
+    # first edit, so the argument rewrites next from its own view unedited
+    g = acx4.family_to_graph(acx4.make_minimal_family([1, -1]))
+    up, ref_up = acx4.blow_up_graph, oracles.reference_blow_up_graph
+    down, ref_down = acx4.blow_down_graph, oracles.reference_blow_down_graph
+    ends = ("p1,2'", "p1,2''")
+    failing = [(down, ref_down, ("p1,3", "p1,4"), NotBlowDownable, "no blow-down"),
+               (up, ref_up, "zz", UnknownVertex, "'zz'"),
+               (up, ref_up, ["p1,1"], UnknownVertex, r"\['p1,1'\]"),
+               (down, ref_down, ("p1,1", "zz"), UnknownVertex, "'zz'"),
+               (down, ref_down, ("p1,1", "p1,3"), DomainError, "no edge joins")]
+    for rewrite, reference, arg, error, text in failing:
+        h = up(g, "p1,2")
+        with pytest.raises(error, match=text):
+            reference(h, arg)
+        with mock.patch.object(torusgraph, "_view_of", wraps=torusgraph._view_of) as build:
+            for _ in range(2):
+                with pytest.raises(error, match=text):
+                    rewrite(h, arg)
+            got = down(h, ends)
+        assert build.call_count == 0
+        assert got == ref_down(h, ends)
+        assert up(h, "p2,1") == ref_up(h, "p2,1")
+    # the kernel's refusal of a label broken behind the validator's back
+    broken = TorusGraph(
+        g.vertices, (dataclasses.replace(g.edges[0], label=(2, 0)),) + g.edges[1:])
+    h = up(broken, "p2,1")
+    with mock.patch.object(torusgraph, "_view_of", wraps=torusgraph._view_of) as build:
+        with pytest.raises(InternalInconsistency, match="blow-up"):
+            up(h, "p1,2")
+        got = up(h, "p2,2")
+    assert build.call_count == 0
+    assert got == up(TorusGraph(h.vertices, h.edges), "p2,2")
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except DomainError as exc:
+        return (type(exc), str(exc), vars(exc))
+
+
+def test_threads_rewriting_one_graph_get_the_reference_results():
+    # of the threads that read or rewrite the shared graph at once, one
+    # takes its view and the others build their own from its fields
+    shared = acx4.blow_up_graph(
+        acx4.family_to_graph(acx4.make_minimal_family([1, -1])), "p1,2")
+    calls = [(acx4.blow_up_graph, v, oracles.reference_blow_up_graph)
+             for v in shared.vertices]
+    calls += [(acx4.blow_down_graph, ends, oracles.reference_blow_down_graph)
+              for ends in (("p1,2'", "p1,2''"), ("p1,3", "p1,4"), ("p1,1", "p1,3"))]
+    # weights_at hands the shared graph a view again and again, for the
+    # rewrites to contend for
+    calls += [(acx4.weights_at, v, oracles.reference_weights_at)
+              for v in shared.vertices]
+    want = [outcome(reference, shared, arg) for _, arg, reference in calls]
+    wrong, done = [], [0] * 4
+
+    def work(k):
+        for i in range(200):
+            j = (i + k) % len(calls)
+            got = outcome(calls[j][0], shared, calls[j][1])
+            if got != want[j]:
+                wrong.append((k, i, got))
+            done[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [200] * 4 and wrong == []
+    assert sum(got[0] == "ok" for got in want) == 2 * len(shared.vertices) + 1
+
+
+def test_weights_at_keeps_the_view_it_builds():
+    # a scrambled graph is normalized once, for its first query; the view
+    # built then stays with it
+    g = oracles.scramble_graph(
+        acx4.family_to_graph(acx4.make_minimal_family([1] * 5)), random.Random(5))
+    assert acx4.normalize_orientation(g) != g
+    want = [oracles.reference_weights_at(g, v) for v in g.vertices]
+    with mock.patch.object(torusgraph, "normalize_orientation",
+                           wraps=torusgraph.normalize_orientation) as normalize:
+        got = [acx4.weights_at(g, v) for v in g.vertices]
+    assert normalize.call_count == 1
+    assert got == want
 
 class GraphAndFamily(RuleBasedStateMachine):
     """Seeded blow-ups and blow-downs applied to a family and to its graph

@@ -73,7 +73,8 @@ from .multifan import (
 
 # The generated frozen __init__ sets each field through object.__setattr__;
 # filling __dict__ in one update costs about half as much, and leaves the
-# fields, ==, hash, repr, dataclasses.replace and pickling as they were.
+# fields, ==, hash, repr, dataclasses.replace and pickling as they were,
+# though each instance then holds a dict object of its own.
 
 @dataclass(frozen=True, init=False)
 class Edge:

@@ -19,8 +19,8 @@ from .multifan import MultiFanFamily, as_vec, fixed_point_weights, winding_numbe
 
 
 def choose_generic_direction(fam: MultiFanFamily) -> Vec:
-    """Deterministic scan over (1, N), N = 1, 2, ...: the first N that
-    clears every vector of the family."""
+    """The direction (1, N) of least N >= 1 that clears every vector of the
+    family, by lattice.generic_direction."""
     vectors = [v for fan in fam.fans for v in fan.vectors]
     return lattice.generic_direction(vectors)
 

@@ -65,14 +65,19 @@ def reduction_choice(v1: Vec, v2: Vec) -> int:
 
 
 def generic_direction(vectors) -> Vec:
-    """Deterministic direction (1, N) not orthogonal to any given vector.
+    """Deterministic direction (1, N) not orthogonal to any given vector:
+    the least N >= 1 that no vector rules out.
 
-    Scans N = 1, 2, ...; a vector (x, y) rules out at most the single value
-    N = -x/y, so the scan succeeds within (number of distinct vectors) + 1
-    candidates.
+    (x, y) pairs with (1, N) to x + N*y, so a vector with y != 0 rules out
+    N = -x/y when y divides x, one with y == 0 and x != 0 rules out nothing,
+    and the zero vector rules out every N.  One pass collects the values
+    ruled out; there are at most as many as vectors, so N is at most their
+    number + 1.
     """
-    distinct = set(vectors)
-    for n in range(1, len(distinct) + 2):
-        if all(x + n * y != 0 for x, y in distinct):
-            return (1, n)
-    raise InternalInconsistency("generic-direction scan exceeded its bound")
+    if (0, 0) in vectors:
+        raise InternalInconsistency("generic-direction scan exceeded its bound")
+    ruled_out = {-x // y for x, y in vectors if y and not x % y}
+    n = 1
+    while n in ruled_out:
+        n += 1
+    return (1, n)

@@ -64,14 +64,23 @@ steps has been applied twice, each further repeat is checked against the
 run's closed form instead of applied, all but the last are kept as one
 Run, and the last is read step by step.  The emitter writes a Run's
 repeats as column text: one repeat's fixed text around the coordinates
-that move, each a range from the closed form, all joined in C.
+that move, each distinct value printed once per chunk of repeats.  A
+column whose values in the chunk are all negative, as its two ends show,
+prints a "-" at the end of the fixed text before it and then their
+absolute values; the columns that then share a step and their start
+modulo it lie on one progression, whose covering range is converted once
+in C and sliced per column, unless it holds more values than the columns
+print, when each column is converted alone.  The texts go into one list
+by slice assignments, which the log's one join copies.
 
 A text that is, byte for byte, a log as the emitter writes it (the
 canonical-form argument of RFC 8785) is read so with no JSON tree: its
 families are decoded in place, each move outside a run must match a
 pattern made from the emitter's move template, and the further repeats of
 a run are the emitter's column text of them, compared in place in chunks
-of 1, 2, 4, ... up to 64 repeats.  Any other byte, or any fault, sends
+of 1, 2, 4, ... up to 64 repeats, with the fold and grouping of its
+columns worked out once per run and again only where a column changes
+sign.  Any other byte, or any fault, sends
 the whole text to json.loads, where a log is read field by field: the
 first move that does not apply stops the applying but not the decoding,
 so a malformed move anywhere is reported before an inapplicable one, as
@@ -86,7 +95,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, groupby, repeat, starmap
+from itertools import chain, groupby, starmap
 from json.encoder import encode_basestring_ascii as _string  # json.dumps(s), in C
 from operator import attrgetter, itemgetter
 
@@ -412,16 +421,25 @@ def _text_repeats(text, pos, block, fans):
     time.  The count stops before a coordinate would pass 2**53 - 1, which
     the emitter quotes."""
     template = _run_template("", run_steps(block, fans), [fans[j][i] for j, i, _ in block])
+    columns = template[1]
     # column (v, d) writes v + r*d in repeat r, within the bound while
     # r*|d| <= bound - |v| along d's sign
-    limit = min((_JSON_SAFE_INT - (v if d > 0 else -v)) // abs(d) + 1
-                for v, d in template[1])
-    n, end, size = 0, pos, 1
+    limit = min((_JSON_SAFE_INT - (v if d > 0 else -v)) // abs(d) + 1 for v, d in columns)
+    # a column's cut is the repeat where it turns negative or stops being so;
+    # the plan is made again only for a chunk that reaches past the next cut
+    cuts = [-(v // d) if d > 0 else v // -d + 1 for v, d in columns]
+    n, end, size, until = 0, pos, 1, 0
     while n < limit:
         size = min(size, limit - n)
-        chunk = _run_text(template, n, size)
+        if n + size > until:
+            plan = _run_plan(template, _run_folds(columns, n, size))
+            until = min([cut for cut in cuts if cut > n], default=limit)
+        texts = _run_repeats(template, n, size, plan)
+        chunk = "".join(texts)
         if not text.startswith(chunk, end):
-            for one in map("".join, _run_repeats(template, n, size)):
+            width = len(texts) // size
+            for i in range(0, len(texts), width):
+                one = "".join(texts[i:i + width])
                 if not text.startswith(one, end):
                     break
                 n += 1
@@ -663,19 +681,66 @@ def _run_template(p, steps, starts):
     return literals, columns
 
 
-def _run_repeats(template, r, n):
-    """Repeats r .. r + n - 1 of a run template, one tuple of texts each."""
+def _run_folds(columns, r, n):
+    """Which columns of a run template print only negative values in repeats
+    r .. r + n - 1: a column moves one way, so its two ends tell."""
+    last = r + n - 1
+    return tuple(v + r * d < 0 and v + last * d < 0 for v, d in columns)
+
+
+def _run_plan(template, folds):
+    """How a run template's columns print, a folded one as a "-" at the end
+    of the literal before it and then its absolute values: (literal texts,
+    groups).  Columns whose (printed) values share a step and their start
+    modulo it lie on one progression, a group (step, base, span, members):
+    member (column, offset) prints base + (offset + r)*step in repeat r,
+    and span is the largest offset."""
     literals, columns = template
-    texts = [repeat(literals[0], n)]
-    for (v, d), literal in zip(columns, literals[1:]):
-        # range gives plain ints, which str prints as %d does
-        texts += [map(str, range(v + r * d, v + (r + n) * d, d)), repeat(literal, n)]
-    return zip(*texts)
+    literals = list(literals)
+    progressions = {}
+    for c, ((v, d), fold) in enumerate(zip(columns, folds)):
+        if fold:
+            literals[c] += "-"
+            v, d = -v, -d
+        progressions.setdefault((d, v % d), []).append((c, v))
+    groups = []
+    for (d, _), members in progressions.items():
+        base = (min if d > 0 else max)(v for _, v in members)
+        offsets = [(c, (v - base) // d) for c, v in members]
+        groups.append((d, base, max(offset for _, offset in offsets), offsets))
+    return literals, groups
 
 
-def _run_text(template, r, n):
+def _run_repeats(template, r, n, plan=None):
+    """Repeats r .. r + n - 1 of a run template as one list of texts, each
+    repeat its literals with a column's value between each two, printed by
+    plan, a _run_plan valid for those repeats (made when not given).  A
+    group's values are converted once, from one range that covers its
+    columns, when that holds no more values than its columns print; else
+    each column's are converted alone.  Each literal and each column goes
+    in by one slice assignment in C."""
+    literals, groups = plan or _run_plan(template, _run_folds(template[1], r, n))
+    width = 2 * len(literals) - 1
+    texts = [None] * (width * n)
+    for i, literal in enumerate(literals):
+        texts[2 * i::width] = [literal] * n
+    for d, base, span, members in groups:
+        start = base + r * d
+        # range gives plain ints, whose repr is their %d text
+        if span + n <= len(members) * n:
+            values = list(map(repr, range(start, start + (span + n) * d, d)))
+            for c, offset in members:
+                texts[2 * c + 1::width] = values[offset:offset + n] if span else values
+        else:
+            for c, offset in members:
+                first = start + offset * d
+                texts[2 * c + 1::width] = map(repr, range(first, first + n * d, d))
+    return texts
+
+
+def _run_text(template, r, n, plan=None):
     """The text of repeats r .. r + n - 1 of a run template, joined in C."""
-    return "".join(chain.from_iterable(_run_repeats(template, r, n)))
+    return "".join(_run_repeats(template, r, n, plan))
 
 
 def _log_text(log: MoveLog, p, end="") -> str:
@@ -705,7 +770,8 @@ def _log_text(log: MoveLog, p, end="") -> str:
             # a coordinate's extremes are at its ends, w and w + count*delta
             if all(abs(c) <= _JSON_SAFE_INT for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)
                    for c in (x, y, x + run.count * dx, y + run.count * dy)):
-                parts.append(_run_text(_run_template(p, run.steps, run.starts), 0, run.count))
+                # its texts, not their join: the final join copies them once
+                parts += _run_repeats(_run_template(p, run.steps, run.starts), 0, run.count)
             else:
                 parts += texts(run.moves())
     if len(parts) > first:

@@ -9,7 +9,7 @@ the slower rewrite, reduction and canonical-form code that the library's
 fast paths replaced, built on the full validator, the normal-form
 readers that the library's direct readings replaced, the cycle walk as
 its docstring states it and the two-walk version it replaced, the
-exact-ratio SVG scaling, the json.dumps(indent=2) emitter, and the log
+candidate-by-candidate generic-direction scan, the exact-ratio SVG scaling, the json.dumps(indent=2) emitter, and the log
 emitter that wrote a run's moves one % format each, as the reference
 those paths must match exactly.
 """
@@ -222,6 +222,18 @@ def scramble_graph_with_names(g, rng):
             edges.append((names[e.src], names[e.dst], e.label))
     rng.shuffle(edges)
     return acx4.validate_graph(vertices, edges), names
+
+
+# --- the generic-direction scan that lattice.generic_direction replaced ------
+
+def reference_generic_direction(vectors):
+    """The first (1, N), N = 1, 2, ..., that pairs nonzero with every
+    distinct vector, found by testing each candidate against all of them."""
+    distinct = set(vectors)
+    for n in range(1, len(distinct) + 2):
+        if all(x + n * y != 0 for x, y in distinct):
+            return (1, n)
+    raise InternalInconsistency("generic-direction scan exceeded its bound")
 
 
 # --- reference implementations of the replaced rewrite paths ---------------

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
 from acx4 import lattice
-from acx4.errors import PreconditionViolated
+from acx4.errors import InternalInconsistency, PreconditionViolated
 
 
 def test_det2_examples():
@@ -99,3 +101,30 @@ def test_generic_direction_clears_all_vectors():
     xi = lattice.generic_direction(vs)
     assert all(lattice.dot(v, xi) != 0 for v in vs)
     assert xi[0] == 1 and xi[1] >= 1
+
+
+def test_generic_direction_matches_the_scan():
+    # the one-pass ruled-out set against the candidate-by-candidate scan, on
+    # sets with axis vectors, negative divisors, repeats and the zero vector
+    rng = random.Random(0x6D)
+    zeros = 0
+    for _ in range(2000):
+        vs = [(rng.randint(-30, 30), rng.choice([-3, -2, -1, 1, 2, 3]))
+              for _ in range(rng.randint(0, 12))]
+        # (x, y) with y | x rules out N = -x/y, often a small positive N
+        vs += [(-n * y, y) for n, y in ((rng.randint(1, 8), rng.choice([-2, -1, 1, 2]))
+                                        for _ in range(rng.randint(0, 8)))]
+        vs += [(0, rng.randint(-5, 5) or 1), (rng.randint(-5, 5) or 1, 0)][:rng.randint(0, 2)]
+        if rng.random() < 0.05:
+            vs.append((0, 0))
+        rng.shuffle(vs)
+        try:
+            want = oracles.reference_generic_direction(vs)
+        except InternalInconsistency as exc:
+            with pytest.raises(InternalInconsistency, match=str(exc)):
+                lattice.generic_direction(vs)
+            zeros += 1
+            continue
+        assert lattice.generic_direction(vs) == want
+        assert lattice.generic_direction(tuple(vs)) == want
+    assert zeros > 50

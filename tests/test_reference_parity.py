@@ -74,6 +74,24 @@ def euclid_family(n):
         (acx4.validate_multifan([(1, 0), (n, 1), (-n - 1, -1)]),))
 
 
+def mirrored_euclid_family(n):
+    """The euclid fan under -1: its runs print the negative coordinates of
+    the euclid fan's as positive ones, and the reverse."""
+    return acx4.MultiFanFamily(
+        (acx4.validate_multifan([(-1, 0), (-n, -1), (n + 1, 1)]),))
+
+
+def crossing_log(lo, hi):
+    """The log of the a = 0 steps that take the Hirzebruch fan with
+    (-1, lo) to the one with (-1, hi), one step (0, 1) at a time: past the
+    engine's runs, whose vectors only shrink, its y coordinate crosses 0.
+    The log holds no Run; the readers cut one."""
+    fam = acx4.MultiFanFamily((hirzebruch_fan(lo),))
+    moves = [move for k in range(lo, hi)
+             for move in (Move(BLOW_UP, 0, 1, (-1, k + 1)), Move(BLOW_DOWN, 0, 3, (-1, k)))]
+    return acx4.MoveLog(fam, moves, acx4.replay(fam, moves))
+
+
 def test_logs_match_reference_on_criterion_4_seeds(criterion_4_reductions):
     # the engine's results are shared with criterion 4 (see conftest.py)
     assert len(criterion_4_reductions) == 10_000
@@ -223,10 +241,11 @@ def test_runs_take_few_checked_iterations(monkeypatch):
         assert len(calls) == 7 * copies
 
 
-def test_reader_cuts_runs_like_the_engine():
+def test_reader_cuts_runs_like_the_engine(monkeypatch):
     # the reader stores the runs the engine stored, so a log read back
     # compares equal to the engine's without expanding either
     fams = [euclid_family(n) for n in range(1, 301)]
+    fams += [mirrored_euclid_family(n) for n in (1, 2, 50, 1000)]
     fams += [acx4.MultiFanFamily((hirzebruch_fan(n),)) for n in range(-100, 101)]
     fams += two_fan_run_families()
     fams += [acx4.gen_random_family(s, 3, 60) for s in range(30)]
@@ -236,6 +255,38 @@ def test_reader_cuts_runs_like_the_engine():
         assert parse_document(log_text(log)).payload.entries == log.entries
         runs += sum(type(entry) is Run for entry in log.entries)
     assert runs > len(fams)
+    # a column that changes sign inside one of the reader's chunks: the
+    # chunk's plan folds it on neither side, and the reader cuts the run
+    # the json.loads reader cuts
+    chunks = []
+    real = serialize._run_folds
+
+    def spied(columns, r, n):
+        chunks.extend((v + r * d < 0) != (v + (r + n - 1) * d < 0) for v, d in columns)
+        return real(columns, r, n)
+
+    texts = [log_text(crossing_log(lo, hi)) for lo, hi in ((-100, 60), (-3, 150))]
+    monkeypatch.setattr(serialize, "_run_folds", spied)
+    calls = json_loads_spy(monkeypatch)
+    fast = [parse_document(text).payload.entries for text in texts]
+    assert calls == [] and any(chunks)
+    monkeypatch.undo()
+    for text, got in zip(texts, fast):
+        assert got == tree_parse(text).payload.entries
+        assert [type(e) for e in got].count(Run) == 1
+    # one digit changed in a folded column, negative all along its run: the
+    # reader's error is the json.loads reader's
+    vector = re.compile(r'"vector": \[\n +(-?[0-9]+),\n +(-?[0-9]+)')
+    for text, at, c in ((log_text(crossing_log(-100, 60)), 70, 2),
+                        (log_text(acx4.reduce_to_minimal(mirrored_euclid_family(1000))[1]), 2000, 1)):
+        m = list(vector.finditer(text))[at]  # the vector of move at
+        assert m[c].startswith("-")
+        digit = str((int(m[c][-1]) + 1) % 10)
+        edited = text[:m.end(c) - 1] + digit + text[m.end(c):]
+        got = outcome_of(parse_document, edited)
+        assert got[0] is ParseError and got[2] == "moves"
+        assert got[1].startswith(f"moves: move {at} does not apply")
+        assert got == outcome_of(tree_parse, edited)
 
 
 def test_engine_refuses_a_run_past_its_end(monkeypatch):
@@ -332,6 +383,19 @@ def test_run_text_matches_per_move_emission():
     logs = [acx4.reduce_to_minimal(euclid_family(n))[1] for n in range(1, 301)]
     logs += [acx4.reduce_to_minimal(fam)[1]
              for fam in two_fan_run_families() + sl2_image_families()]
+    logs += [acx4.reduce_to_minimal(mirrored_euclid_family(n))[1] for n in (1, 2, 50, 1000)]
+    # a column that crosses 0, so that it folds on one side of 0 only, read
+    # back to hold a Run; and two steps of one delta whose starts differ
+    # modulo it, whose columns print from two progressions, near each other
+    # and far apart, over few and many repeats
+    logs += [parse_document(log_text(crossing_log(lo, hi))).payload
+             for lo, hi in ((-60, 40), (-3, 150), (-130, -2))]
+    fam = euclid_family(1)
+    for count in (1, 5, 200, 600):
+        for far in (0, 1001):
+            steps = ((0, 1, 3, (2, -3)), (0, 3, 1, (2, -3)))
+            run = Run(steps, ((-201, 300), (4 + far, -7 - far)), count)
+            logs.append(acx4.MoveLog(fam, (Move(BLOW_UP, 0, 0, (1, 2)), run), fam))
     logs += [acx4.normalize_complex(hirzebruch_fan(s * n))[0]
              for n in range(1, 201) for s in (1, -1)]
     # a run whose far coordinates sit at the bound, and a step past it
@@ -342,12 +406,24 @@ def test_run_text_matches_per_move_emission():
             run = Run(((0, 1, 3, (3 * s, -2 * s)),), (start,), 5)
             logs.append(acx4.MoveLog(fam, (Move(BLOW_UP, 0, 0, (1, 2)), run), fam))
     deltas = set()
+    folded = crossing = 0
     for log in logs:
         text = log_text(log)
         assert text == oracles.reference_log_text(log)
-        deltas |= {tuple((d > 0) - (d < 0) for d in step[3])
-                   for e in log.entries if type(e) is Run for step in e.steps}
+        runs = [e for e in log.entries if type(e) is Run]
+        deltas |= {tuple((d > 0) - (d < 0) for d in step[3]) for e in runs for step in e.steps}
+        for e in runs:
+            for v, d in serialize._run_template("", e.steps, e.starts)[1]:
+                first, last = v < 0, v + (e.count - 1) * d < 0
+                folded += first and last
+                crossing += first != last
     assert deltas == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+    assert folded and crossing
+    # a run cut anywhere into two chunks prints as its repeats one at a time
+    template = serialize._run_template("", steps, ((-201, 300), (4, -7)))
+    ones = "".join("".join(serialize._run_repeats(template, r, 1)) for r in range(200))
+    for r in range(201):
+        assert serialize._run_text(template, 0, r) + serialize._run_text(template, r, 200 - r) == ones
     for log, past in zip(logs[-4:], (0, 1, 0, 1)):
         text = log_text(log)
         assert bool(re.search('"-?%d"' % (SAFE + 1), text)) == past

@@ -738,9 +738,9 @@ def _run_repeats(template, r, n, plan=None):
     return texts
 
 
-def _run_text(template, r, n, plan=None):
+def _run_text(template, r, n):
     """The text of repeats r .. r + n - 1 of a run template, joined in C."""
-    return "".join(_run_repeats(template, r, n, plan))
+    return "".join(_run_repeats(template, r, n))
 
 
 def _log_text(log: MoveLog, p, end="") -> str:

@@ -433,6 +433,30 @@ def test_run_text_matches_per_move_emission():
                 == oracles.reference_log_text(log, "  "))
 
 
+def test_run_text_converts_each_value_once(monkeypatch):
+    # a run's columns convert no more integers than they print, and the
+    # four columns of a euclid run, two of them folded, share one range
+    converted = []
+    monkeypatch.setattr(serialize, "repr", lambda v: converted.append(v) or str(v),
+                        raising=False)
+    # with far odd, the x columns of the two steps (2, 0) lie on one
+    # progression, and its range spans 604 values more than one column's:
+    # over 200 repeats it would hold 804 values where the columns print 800
+    steps = ((0, 1, 3, (2, 0)), (0, 3, 1, (2, 0)))
+    runs = [(Run(steps, ((-201, 300), (4 + far, -7)), count), False)
+            for far in (0, 1001) for count in (5, 200, 600)]
+    for n in (50, 1000):
+        for fam in (euclid_family(n), mirrored_euclid_family(n)):
+            runs += [(e, True) for e in acx4.reduce_to_minimal(fam)[1].entries if type(e) is Run]
+    for run, euclid in runs:
+        template = serialize._run_template("", run.steps, run.starts)
+        converted.clear()
+        serialize._run_text(template, 0, run.count)
+        assert len(converted) <= len(template[1]) * run.count
+        if euclid:
+            assert sorted(converted) == list(range(1, run.count + 2))
+
+
 # --- canonical form -----------------------------------------------------------
 
 def assert_same_canonical(fan):

@@ -29,10 +29,10 @@ order.  So while every iteration is one, the engine removes the vectors of
 norm > 1 in the order of (-norm, fan, original index), each at its index
 less the removals before it in its fan, and one sort finds them all.  The
 stretch ends at the first vector that is not a = -1 and the sum of its
-neighbors.  Each of its moves passes the kernel and the MAX_MOVES check
-and removes the maximum alone, as the multiset rule below asks; a lone
-blow-down leaves the run cutter empty, so the loop then goes on exactly as
-after taking the stretch one iteration at a time.
+neighbors in the fan's list.  Each of its moves passes the kernel and the
+MAX_MOVES check and removes the maximum alone, as the multiset rule below
+asks; a lone blow-down leaves the run cutter empty, so the loop then goes
+on exactly as after taking the stretch one iteration at a time.
 
 Runs are solved in closed form.  An a = 0 iteration only replaces w by
 w + delta, delta = side*w1, and leaves its neighbors alone (unless it
@@ -511,29 +511,23 @@ def _jump(block, cutter, norms, logged) -> Run | None:
 _RUN_MISSED = "the iterations after a jump are not the last repeat of its run"
 
 
-def _blow_down_stretch(fam, fans, order, signs) -> list[Move]:
+def _blow_down_stretch(fans, order, signs) -> list[Move]:
     """Blow down the vectors in order, their sorted (-norm, fan, index),
     while each is the engine's a = -1 iteration; return those moves."""
     moves = []
-    # each fan's survivors linked by original index, and its removed indices
-    links = [(list(range(-1, len(vs) - 1)), list(range(1, len(vs))) + [0])
-             for vs in fans]
-    gone = [[] for _ in fans]
+    gone = [[] for _ in fans]  # each fan's removed original indices
     for _, j, i in order:
-        vs = fam.fans[j].vectors
-        prev, nxt = links[j]
-        p, n = prev[i], nxt[i]
-        w, w1, w2 = vs[i], vs[p], vs[n]
+        vs = fans[j]
+        position = i - bisect_left(gone[j], i)
+        w, w1, w2 = vs[position], vs[position - 1], vs[(position + 1) % len(vs)]
         if (signs[j] * lattice.det2(w2, w1) != -1
                 or w != (w1[0] + w2[0], w1[1] + w2[1])):
             break
-        position = i - bisect_left(gone[j], i)
         insort(gone[j], i)
         apply_move(fans, BLOW_DOWN, j, position, w)
         moves.append(Move(BLOW_DOWN, j, position, w))
         if len(moves) > MAX_MOVES:
             raise _too_many(len(moves))
-        nxt[p], prev[n] = n, p
     return moves
 
 
@@ -551,7 +545,7 @@ def reduce_to_minimal(fam: MultiFanFamily) -> tuple[MultiFanFamily, MoveLog]:
     if not order:  # every vector is a unit vector already
         return _minimal(fam, fans, [])
     signs = [orientation(fan) for fan in fam.fans]
-    entries = _blow_down_stretch(fam, fans, order, signs)
+    entries = _blow_down_stretch(fans, order, signs)
     norms = [_NormBlocks(vs) for vs in fans]
     cutter = RunCutter(fans)
     logged = len(entries)  # the moves the entries stand for

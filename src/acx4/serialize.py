@@ -38,9 +38,9 @@ JSON numbers at any size.
 Emission builds the text from fixed %-templates for these shapes, with no
 tree of dicts in between; its bytes are exactly those of
 json.dumps(obj, indent=2) + "\n" on the equivalent tree.  A vector list,
-a graph's edges and a fan's plumbing pieces repeat one template, filled
-by one % format in C when one min and one max show that every coordinate
-prints as a JSON number, and coordinate by coordinate otherwise.
+a graph's edges, a fan's plumbing pieces and a batch of moves outside a
+run repeat one template, filled by one % format in C; one min and one max
+decide once per sequence whether its integers print as JSON numbers.
 Parsing names the path of the first fault, in reading order, and spells
 paths only then.
 
@@ -74,19 +74,20 @@ print, when each column is converted alone.  The texts go into one list
 by slice assignments, which the log's one join copies.
 
 A text that is, byte for byte, a log as the emitter writes it (the
-canonical-form argument of RFC 8785) is read so with no JSON tree: its
-families are decoded in place, each move outside a run must match a
-pattern made from the emitter's move template, and the further repeats of
-a run are the emitter's column text of them, compared in place in chunks
-of 1, 2, 4, ... up to 64 repeats, with the fold and grouping of its
-columns worked out once per run and again only where a column changes
-sign.  Any other byte, or any fault, sends
-the whole text to json.loads, where a log is read field by field: the
-first move that does not apply stops the applying but not the decoding,
-so a malformed move anywhere is reported before an inapplicable one, as
-when the moves are all read and then replayed, and a move that departs
-from a run's closed form is read again step by step, so it fails with the
-same path and message.
+canonical-form argument of RFC 8785), each integer of its moves unquoted
+and at most 15 digits long, is read so with no JSON tree: its families
+are decoded in place, each move outside a run must match a pattern made
+from the emitter's move template, and the further repeats of a run are
+the emitter's column text of them, compared in place in chunks of 1, 2,
+4, ... up to 64 repeats, with the fold and grouping of its columns worked
+out once per run and again only where a column changes sign.  Any other
+byte, a 16-digit or quoted coordinate, or any fault, sends the whole text
+to json.loads, where a log is read field by field: the first move that
+does not apply stops the applying but not the decoding, so a malformed
+move anywhere is reported before an inapplicable one, as when the moves
+are all read and then replayed, and a move that departs from a run's
+closed form is read again step by step, so it fails with the same path
+and message.
 """
 
 from __future__ import annotations
@@ -590,6 +591,14 @@ def _json_numbers(ints) -> bool:
     return not ints or (-_JSON_SAFE_INT <= min(ints) and max(ints) <= _JSON_SAFE_INT)
 
 
+def _ints(values):
+    """("%d", the ints) when every one prints as a JSON number, else ("%s",
+    their _int texts): a template's slot and values, decided once."""
+    if _json_numbers(values):
+        return "%d", values
+    return "%s", list(map(_int, values))
+
+
 def _filled(item, n, p, values) -> str:
     """An array at indent p of n copies of the %-template item, filled in
     order from values by one format in C."""
@@ -597,11 +606,8 @@ def _filled(item, n, p, values) -> str:
 
 
 def _vecs(vectors, p) -> str:
-    vec = _vec_template(p + "  ")
-    coords = tuple(chain.from_iterable(vectors))
-    if _json_numbers(coords):
-        return _filled(vec % ("%d", "%d"), len(vectors), p, coords)
-    return _array([vec % (_int(x), _int(y)) for x, y in vectors], p)
+    slot, coords = _ints(tuple(chain.from_iterable(vectors)))
+    return _filled(_vec_template(p + "  ") % (slot, slot), len(vectors), p, coords)
 
 
 def _family_text(fam: MultiFanFamily, p, end="") -> str:
@@ -623,15 +629,10 @@ _src, _dst, _label = attrgetter("src"), attrgetter("dst"), attrgetter("label")
 
 def _graph_text(g: TorusGraph, p, end="") -> str:
     edge = _edge_template(p + "    ")
-    ends = list(map(_string, map(_src, g.edges))), list(map(_string, map(_dst, g.edges)))
-    labels = list(map(_label, g.edges))
-    coords = tuple(chain.from_iterable(labels))
-    if _json_numbers(coords):
-        edges = _filled(edge % ("%s", "%s", "%d", "%d"), len(labels), p + "  ",
-                        chain.from_iterable(zip(*ends, coords[::2], coords[1::2])))
-    else:
-        edges = _array([edge % (src, dst, _int(x), _int(y))
-                        for src, dst, (x, y) in zip(*ends, labels)], p + "  ")
+    ends = map(_string, map(_src, g.edges)), map(_string, map(_dst, g.edges))
+    slot, coords = _ints(tuple(chain.from_iterable(map(_label, g.edges))))
+    edges = _filled(edge % ("%s", "%s", slot, slot), len(g.edges), p + "  ",
+                    chain.from_iterable(zip(*ends, coords[::2], coords[1::2])))
     return _object(p, ("format", _string(FORMAT_GRAPH)),
                    ("vertices", _array(list(map(_string, g.vertices)), p + "  ")),
                    ("edges", edges), end=end)
@@ -747,33 +748,32 @@ def _log_text(log: MoveLog, p, end="") -> str:
     """The log's text, from one list of parts joined once: its moves run to
     megabytes, which each further join or + would copy again."""
     head, tail = _move_template(p)
-    vec = tail % ("%d", "%d")
-    move = head + vec
-    quoted = head + tail  # a coordinate past 2**53 - 1
-    kinds = _KIND_TEXT
 
-    def texts(batch):
-        return [move % (kinds.get(kind) or _string(kind), fan, position, x, y)
-                if -_JSON_SAFE_INT <= x <= _JSON_SAFE_INT
-                and -_JSON_SAFE_INT <= y <= _JSON_SAFE_INT else
-                quoted % (kinds.get(kind) or _string(kind), fan, position, _int(x), _int(y))
-                for kind, fan, position, (x, y) in batch]
+    def text(batch):
+        """A batch of moves, each led by its ",", filled by one format."""
+        # each vector unpacks as a pair, so a longer one raises
+        *fields, xs, ys = zip(*[(_KIND_TEXT.get(kind) or _string(kind), fan, position, x, y)
+                                for kind, fan, position, (x, y) in batch])
+        slot, coords = _ints(xs + ys)
+        n = len(xs)
+        return ("".join([head + tail % (slot, slot)] * n)
+                % tuple(chain.from_iterable(zip(*fields, coords[:n], coords[n:]))))
 
     start, to_moves, after_moves, to_final, close = _log_frame(p)
     parts = [start, _family_text(log.initial, p + "  "), to_moves]
     first = len(parts)
     for cls, entries in groupby(log.entries, type):
         if cls is not Run:
-            parts += texts(entries)
+            parts.append(text(entries))
             continue
         for run in entries:
             # a coordinate's extremes are at its ends, w and w + count*delta
-            if all(abs(c) <= _JSON_SAFE_INT for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)
-                   for c in (x, y, x + run.count * dx, y + run.count * dy)):
+            if _json_numbers([c for (*_, (dx, dy)), (x, y) in zip(run.steps, run.starts)
+                              for c in (x, y, x + run.count * dx, y + run.count * dy)]):
                 # its texts, not their join: the final join copies them once
                 parts += _run_repeats(_run_template(p, run.steps, run.starts), 0, run.count)
-            else:
-                parts += texts(run.moves())
+            elif run.count:  # a run of no repeats prints nothing
+                parts.append(text(run.moves()))
     if len(parts) > first:
         parts[first] = parts[first][1:]  # the first move follows the "["
         parts.append(after_moves)
@@ -844,15 +844,9 @@ _euler, _weights = attrgetter("euler_number"), attrgetter("sphere_weights")
 def _plumbing_text(pieces, p) -> str:
     """A fan's plumbing pieces, each with two sphere weights, at indent p."""
     piece = _piece_template(p + "  ")
-    weights = list(map(_weights, pieces))
-    coords = tuple(chain.from_iterable(chain.from_iterable(weights)))
-    eulers = list(map(_euler, pieces))
-    if _json_numbers(coords):
-        columns = [coords[i::4] for i in range(4)]
-        return _filled(piece % (("%d",) * 5), len(eulers), p,
-                       chain.from_iterable(zip(eulers, *columns)))
-    return _array([piece % ("%d" % a, _int(x1), _int(y1), _int(x2), _int(y2))
-                   for a, ((x1, y1), (x2, y2)) in zip(eulers, weights)], p)
+    slot, coords = _ints(tuple(chain.from_iterable(chain.from_iterable(map(_weights, pieces)))))
+    return _filled(piece % ("%d", slot, slot, slot, slot), len(pieces), p, chain.from_iterable(
+        zip(map(_euler, pieces), *(coords[i::4] for i in range(4)))))
 
 
 def emit_classification(rows) -> str:

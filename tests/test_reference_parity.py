@@ -763,6 +763,14 @@ def test_noncanonical_logs_read_through_json_loads(monkeypatch):
                                   for x, y in ((1, 0), (40, 1), (-41, -1))])
     big = acx4.reduce_to_minimal(acx4.MultiFanFamily((fan,)))[1]
     cases.append((log_text(big), big))
+    # euclid N = 40 under [[F67, F66], [F66, F65]] (Fibonacci numbers):
+    # canonical, but its unquoted 16-digit coordinates pass the reader's 15
+    fibonacci = ((44945570212853, 27777890035288), (27777890035288, 17167680177565))
+    wide = acx4.reduce_to_minimal(acx4.MultiFanFamily(
+        (image(fibonacci, euclid_family(40).fans[0]),)))[1]
+    text = log_text(wide)
+    assert re.search(r"\n +-?[0-9]{16},?\n", text) and not re.search(r'\n +"-?[0-9]', text)
+    cases.append((text, wide))
     for text, want in cases:
         calls = json_loads_spy(monkeypatch)
         got = parse_document(text).payload

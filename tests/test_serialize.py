@@ -424,9 +424,11 @@ def test_edge_documents_match_json_dumps():
     moves = tuple(acx4.Move(kind, 0, 1, (x, y))
                   for kind in (acx4.BLOW_UP, acx4.BLOW_DOWN)
                   for x in big for y in big)
+    # a hand-built run of no repeats from starts past the bound prints no move
+    idle = acx4.reduction.Run(((0, 1, 3, (0, 1)),), ((SAFE + 1, SAFE),), 0)
     docs = [document_for(payload) for fam in fams for payload in (
         fam, acx4.family_to_graph(fam), acx4.MoveLog(fam, (), fam),
-        acx4.MoveLog(fam, moves, fams[0]))]
+        acx4.MoveLog(fam, moves, fams[0]), acx4.MoveLog(fam, (idle,) + moves, fam))]
     docs += [document_for(payload) for fam in mixed
              for payload in (fam, acx4.family_to_graph(fam))]
     names = ODD_NAMES[:4]
@@ -445,6 +447,12 @@ def test_edge_documents_match_json_dumps():
     model = acx4.ComplexModel(ODD_NAMES[0] + ODD_NAMES[3], SAFE + 1, 3)
     for log in (acx4.MoveLog(fams[2], (), fams[3]), acx4.MoveLog(fams[0], moves, fams[1])):
         assert emit_normal_form(log, model) == oracles.reference_emit_normal_form(log, model)
+    # a hand-built move whose vector is not a pair is refused, not printed
+    # with its batch's coordinates shifted
+    for vector in ((1, 2, 3), (SAFE + 1, 2, 3), (1,)):
+        odd = moves[:2] + (acx4.Move(acx4.BLOW_UP, 0, 1, vector),) + moves[:2]
+        with pytest.raises(ValueError):
+            emit_document(document_for(acx4.MoveLog(fams[0], odd, fams[0])))
 
 
 def test_every_normal_form_kind_matches_json_dumps():

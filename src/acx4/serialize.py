@@ -845,8 +845,8 @@ def _plumbing_text(pieces, p) -> str:
     """A fan's plumbing pieces, each with two sphere weights, at indent p."""
     piece = _piece_template(p + "  ")
     slot, coords = _ints(tuple(chain.from_iterable(chain.from_iterable(map(_weights, pieces)))))
-    return _filled(piece % ("%d", slot, slot, slot, slot), len(pieces), p, chain.from_iterable(
-        zip(map(_euler, pieces), *(coords[i::4] for i in range(4)))))
+    return _filled(piece % ("%d", slot, slot, slot, slot), len(pieces), p,
+                   chain.from_iterable(zip(map(_euler, pieces), *[iter(coords)] * 4)))
 
 
 def emit_classification(rows) -> str:

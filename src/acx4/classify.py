@@ -11,7 +11,6 @@ Chern numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lattice
 from .errors import (
@@ -159,6 +158,7 @@ def realize_chern(c1_sq: int, c2: int) -> MultiFanFamily:
     Raises NotRealizable carrying the fractional or nonpositive (n0, n1)
     when no family has the requested pair.
     """
+    from fractions import Fraction  # imports decimal: only this path pays
     as_int(c1_sq, "c1_sq")
     as_int(c2, "c2")
     n0 = Fraction(c1_sq + c2, 12)

@@ -159,11 +159,13 @@ class UnknownFormat(DomainError):
 @contextmanager
 def digit_limit():
     """Raise a DomainError naming the int/str digit limit in place of the
-    ValueError that printing an integer past it raises; wrap only code
-    whose one possible ValueError is that one."""
+    ValueError that printing an integer past it raises; every other
+    ValueError passes through unchanged."""
     try:
         yield
-    except ValueError:
+    except ValueError as exc:
+        if "for integer string conversion" not in str(exc):
+            raise
         limit = sys.get_int_max_str_digits()
         raise DomainError(f"an integer exceeds the int/str limit of {limit} digits") from None
 

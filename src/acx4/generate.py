@@ -4,6 +4,9 @@ Only blow-ups are applied: families reachable this way are always valid
 with no search, and every component keeps winding number one.  Each
 blow-up goes through the in-place multifan kernel on per-fan lists, so a
 family of n blow-ups costs O(n) arithmetic plus the list insertions.
+The fan and the position are drawn inline as Random.randrange(n) draws
+them (n >= 1, CPython 3.10 to 3.13), so a family is tied to the seed's
+getrandbits stream, not to randrange's private helper.
 """
 
 from __future__ import annotations
@@ -31,8 +34,15 @@ def gen_random_family(seed, components: int = 1, blowups: int = 0,
     fans = [list(fan.vectors) for fan in make_minimal_family(signs).fans]
     if len(fans) != components:
         raise DomainError("signs, when given, must have one entry per component")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for _ in range(blowups):
-        vs = fans[rng.randrange(len(fans))]
-        blow_up_inplace(vs, rng.randrange(len(vs)))
+        # randrange(n): n.bit_length() bits at a time until a value is below n
+        j = bits(components.bit_length())
+        while j >= components:
+            j = bits(components.bit_length())
+        vs = fans[j]
+        i = bits(len(vs).bit_length())
+        while i >= len(vs):
+            i = bits(len(vs).bit_length())
+        blow_up_inplace(vs, i)
     return MultiFanFamily(tuple(MultiFan(tuple(vs)) for vs in fans))

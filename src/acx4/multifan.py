@@ -17,10 +17,11 @@ replaces det(v, w) by det(v, v+w) = det(v+w, w), both equal to it, and
 deleting v[i] = v[i-1] + v[i+1] replaces two determinants by
 det(v[i-1], v[i+1]), equal to both.  The one rewrite kernel,
 blow_up_inplace and blow_down_inplace on a mutable vector list, therefore
-checks only the one determinant det(v, w), in O(1) arithmetic, and raises
-InternalInconsistency unless it is +-1 (which only a list that skipped
-validation can break).  Every fan, family, replay, generator and reduction
-rewrite runs through it.
+checks only the one determinant det(v, w), in O(1) arithmetic computed
+inline, and raises InternalInconsistency unless it is +-1 (which only a
+list that skipped validation can break).  Every fan, family, graph,
+replay, generator and reduction rewrite runs through it, and a move it
+applies calls no other Python function.
 
 MultiFan and MultiFanFamily values are immutable; the rewrites on them copy
 the vector list, edit it with the kernel and wrap the result.
@@ -188,14 +189,6 @@ def fixed_point_weights(fan: MultiFan) -> list[tuple[Vec, Vec]]:
     return [(v, (-x, -y)) for (x, y), v in zip(vs[-1:] + vs[:-1], vs)]
 
 
-def _check_local(v, w, rewrite, i):
-    # det(v, v+w) = det(v+w, w) = det(v, w): one determinant decides all three
-    d = lattice.det2(v, w)
-    if d != 1 and d != -1:
-        raise InternalInconsistency(
-            f"{rewrite} at {i}: determinant {d} breaks admissibility")
-
-
 def blow_up_inplace(vs: list, i: int) -> Vec:
     """Insert v[i] + v[i+1] between cyclic positions i and i+1 of an
     admissible vector list, in place; returns the inserted vector.
@@ -208,8 +201,10 @@ def blow_up_inplace(vs: list, i: int) -> Vec:
         raise IndexOutOfRange(i, k)
     v = vs[i]
     w = vs[(i + 1) % k]
+    d = v[0] * w[1] - v[1] * w[0]
+    if d != 1 and d != -1:
+        raise InternalInconsistency(f"blow-up at {i}: determinant {d} breaks admissibility")
     u = (v[0] + w[0], v[1] + w[1])
-    _check_local(v, w, "blow-up", i)
     vs.insert(i + 1, u)
     return u
 
@@ -227,7 +222,9 @@ def blow_down_inplace(vs: list, i: int) -> Vec:
     v, u, w = vs[i - 1], vs[i], vs[(i + 1) % k]
     if u != (v[0] + w[0], v[1] + w[1]):
         raise NotBlowDownable(i)
-    _check_local(v, w, "blow-down", i)
+    d = v[0] * w[1] - v[1] * w[0]
+    if d != 1 and d != -1:
+        raise InternalInconsistency(f"blow-down at {i}: determinant {d} breaks admissibility")
     del vs[i]
     return u
 

@@ -29,10 +29,12 @@ order.  So while every iteration is one, the engine removes the vectors of
 norm > 1 in the order of (-norm, fan, original index), each at its index
 less the removals before it in its fan, and one sort finds them all.  The
 stretch ends at the first vector that is not a = -1 and the sum of its
-neighbors in the fan's list.  Each of its moves passes the kernel and the
-MAX_MOVES check and removes the maximum alone, as the multiset rule below
-asks; a lone blow-down leaves the run cutter empty, so the loop then goes
-on exactly as after taking the stretch one iteration at a time.
+neighbors in the fan's list.  Having read those, it calls the kernel
+itself, not apply_move, whose checks would restate them.  Each of its
+moves passes the kernel and the MAX_MOVES check and removes the maximum
+alone, as the multiset rule below asks; a lone blow-down leaves the run
+cutter empty, so the loop then goes on exactly as after taking the stretch
+one iteration at a time.
 
 Runs are solved in closed form.  An a = 0 iteration only replaces w by
 w + delta, delta = side*w1, and leaves its neighbors alone (unless it
@@ -75,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import inf, isqrt
 
@@ -123,6 +125,10 @@ class Move(namedtuple("Move", ("kind", "fan_index", "position", "vector"))):
     __slots__ = ()  # a log holds thousands of moves
 
 
+# Move((kind, fan_index, position, vector)) built in C, without Move.__new__
+_move = partial(tuple.__new__, Move)
+
+
 class Run(namedtuple("Run", ("steps", "starts", "count"))):
     """count repeats of a block of a = 0 steps, kept unexpanded in a log.
 
@@ -143,8 +149,8 @@ class Run(namedtuple("Run", ("steps", "starts", "count"))):
             for m, (j, up, down, (dx, dy)) in enumerate(self.steps):
                 w = ends[m]
                 ends[m] = nxt = (w[0] + dx, w[1] + dy)
-                append(Move(BLOW_UP, j, up, nxt))
-                append(Move(BLOW_DOWN, j, down, w))
+                append(_move((BLOW_UP, j, up, nxt)))
+                append(_move((BLOW_DOWN, j, down, w)))
         return out
 
 
@@ -232,8 +238,8 @@ def replay(initial: MultiFanFamily, moves) -> MultiFanFamily:
     for i, mv in enumerate(moves):
         try:
             # a caller's move, unlike the engine's, may hold non-int indices
-            as_int(mv.fan_index, "fan_index")
-            as_int(mv.position, "position")
+            type(mv.fan_index) is int or as_int(mv.fan_index, "fan_index")
+            type(mv.position) is int or as_int(mv.position, "position")
             apply_move(fans, mv.kind, mv.fan_index, mv.position, mv.vector)
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
@@ -318,17 +324,17 @@ def _iteration_moves(vs: list[Vec], eps: int, j: int, i: int) -> list[Move]:
             f"self-intersection {a} at the longest vector {w}; neighbors "
             f"{w1}, {w2} should have forced -1 <= a <= 1")
     if a == -1:
-        return [Move(BLOW_DOWN, j, i, w)]
+        return [_move((BLOW_DOWN, j, i, w))]
     # the side to blow up: both for a = +1 (side 0), else the shorter sum
     side = 0 if a == 1 else lattice.reduction_choice(w1, w)
     moves = []
     if side != -1:
-        moves.append(Move(BLOW_UP, j, (i - 1) % k, lattice.add(w1, w)))
+        moves.append(_move((BLOW_UP, j, (i - 1) % k, lattice.add(w1, w))))
         # w moves one place right unless the pair wraps
         i = i + 1 if i else 0
     if side != 1:
-        moves.append(Move(BLOW_UP, j, i, lattice.add(w, w2)))
-    return moves + [Move(BLOW_DOWN, j, i, w)]
+        moves.append(_move((BLOW_UP, j, i, lattice.add(w, w2))))
+    return moves + [_move((BLOW_DOWN, j, i, w))]
 
 
 def _too_many(count):
@@ -519,13 +525,13 @@ def _blow_down_stretch(fans, order, signs) -> list[Move]:
     for _, j, i in order:
         vs = fans[j]
         position = i - bisect_left(gone[j], i)
-        w, w1, w2 = vs[position], vs[position - 1], vs[(position + 1) % len(vs)]
-        if (signs[j] * lattice.det2(w2, w1) != -1
-                or w != (w1[0] + w2[0], w1[1] + w2[1])):
+        w, (x1, y1), (x2, y2) = vs[position], vs[position - 1], vs[(position + 1) % len(vs)]
+        # a = eps * det(w2, w1) = -1 and w = w1 + w2: the a = -1 iteration
+        if signs[j] * (x2 * y1 - y2 * x1) != -1 or w != (x1 + x2, y1 + y2):
             break
         insort(gone[j], i)
-        apply_move(fans, BLOW_DOWN, j, position, w)
-        moves.append(Move(BLOW_DOWN, j, position, w))
+        blow_down_inplace(vs, position)
+        moves.append(_move((BLOW_DOWN, j, position, w)))
         if len(moves) > MAX_MOVES:
             raise _too_many(len(moves))
     return moves

@@ -34,6 +34,7 @@ from acx4.errors import (
     digit_limit,
 )
 from acx4.lattice import add, neg
+from acx4.multifan import as_int
 from acx4.serialize import FORMAT_FAMILY, FORMAT_GRAPH, FORMAT_LOG, FORMAT_REPORT
 from acx4.torusgraph import normalized_components
 
@@ -305,6 +306,27 @@ def reference_replay(initial, moves):
         except DomainError as exc:
             raise MoveInapplicable(i, str(exc)) from exc
     return fam
+
+
+def reference_gen_random_family(seed, components=1, blowups=0, signs=None):
+    # the generator as it drew through Random.randrange, kept verbatim
+    as_int(components, "components")
+    as_int(blowups, "blowups")
+    if components < 1:
+        raise DomainError(f"components must be >= 1, got {components}")
+    if blowups < 0:
+        raise DomainError(f"blowups must be >= 0, got {blowups}")
+    if signs is None:
+        signs = [1] * components
+    # make_minimal_family reads the signs once and refuses a bad list
+    fans = [list(fan.vectors) for fan in acx4.make_minimal_family(signs).fans]
+    if len(fans) != components:
+        raise DomainError("signs, when given, must have one entry per component")
+    rng = random.Random(seed)
+    for _ in range(blowups):
+        vs = fans[rng.randrange(len(fans))]
+        acx4.blow_up_inplace(vs, rng.randrange(len(vs)))
+    return acx4.MultiFanFamily(tuple(acx4.MultiFan(tuple(vs)) for vs in fans))
 
 
 def reference_realize_chi_y(n0, n1):

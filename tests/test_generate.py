@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import acx4
+import oracles
 from acx4.errors import DomainError, PreconditionViolated
 
 
@@ -55,3 +58,34 @@ def test_signs_are_read_once_by_the_minimal_family(args, message):
     with pytest.raises(PreconditionViolated) as exc:
         acx4.gen_random_family(*args)
     assert str(exc.value) == message
+
+
+def test_draws_match_the_randrange_generator():
+    # getrandbits of n's bit length until below n is randrange(n), n >= 1
+    rng = random.Random(31)
+    seeds = [rng.randrange(1 << 40) for _ in range(200)]
+    seeds += [str(rng.getrandbits(64)) for _ in range(150)]
+    seeds += [rng.randrange(10**99, 10**100) for _ in range(150)]
+    for seed in seeds:
+        components = rng.randint(1, 4)
+        signs = rng.choice([None, [rng.choice([1, -1]) for _ in range(components)]])
+        args = (seed, components, rng.randint(0, 300), signs)
+        assert acx4.gen_random_family(*args) == oracles.reference_gen_random_family(*args)
+    # fan counts on both sides of each power of two, where n.bit_length() steps
+    for components in range(1, 17):
+        args = (components, components, 40, [(-1) ** c for c in range(components)])
+        assert acx4.gen_random_family(*args) == oracles.reference_gen_random_family(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (1, "2", 0), (1, 1, 2.5), (1, True, 0), (1, 0, 1), (1, 1, -1), (1, 2, 1, [1]),
+    (1, 1, 0, [True]), (1, 1, 0, [1.0]), (1, 1, 0, 5), (1, 1, 0, []),
+    (0, 1, 0, [1, 2]), ([1], 1, 1), ({}, 2, 0),
+])
+def test_argument_errors_match_the_randrange_generator(args):
+    with pytest.raises(Exception) as got:
+        acx4.gen_random_family(*args)
+    with pytest.raises(Exception) as want:
+        oracles.reference_gen_random_family(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

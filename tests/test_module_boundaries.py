@@ -1,6 +1,8 @@
 """Each acx4 module uses only the public names of its siblings."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -66,3 +68,12 @@ def test_the_check_sees_both_patterns(tmp_path):
 
 def test_all_lists_the_api_without_submodules():
     assert [n for n in acx4.__all__ if isinstance(getattr(acx4, n), ModuleType)] == []
+
+
+def test_the_cli_import_leaves_fractions_and_decimal_out():
+    # only realize_chern needs Fraction, and it imports it where it runs
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import acx4.cli; "
+            "print(sorted({'fractions', 'decimal'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

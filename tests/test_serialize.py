@@ -290,6 +290,21 @@ def test_emitters_refuse_integers_past_the_digit_limit():
             emit()
 
 
+def test_only_the_digit_limit_becomes_its_domain_error():
+    # a vector that is not a pair fails its (x, y) unpack; that ValueError
+    # reaches the caller as itself, with no integer near the limit
+    fam = cp2_family()
+    log = acx4.MoveLog(fam, (acx4.Move("blow_up", 0, 1, (1, 2, 3)),), fam)
+    model = acx4.ComplexModel("CP1 x CP1", 1, 0)
+    for emit in (lambda: emit_document(document_for(log)),
+                 lambda: emit_normal_form(log, model)):
+        with pytest.raises(ValueError) as exc:
+            emit()
+        assert type(exc.value) is ValueError
+        assert "unpack" in str(exc.value)
+        assert "int/str limit" not in str(exc.value)
+
+
 FAN_DOC = '{"format": "acx4-fans/1", "fans": %s}'
 REPORT_DOC = ('{"format": "acx4-report/1", "a": %s, "euler": 3, "todd": 1, '
               '"signature": 1, "c1_sq": 9, "c2": 3}')
